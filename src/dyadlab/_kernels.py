@@ -101,9 +101,13 @@ else:
 
 
 def popcounts(n_subsets: int) -> np.ndarray:
-    """Popcount of every index below ``n_subsets`` (a power of two)."""
-    table = np.zeros(65536, dtype=np.int64)
-    for i in range(16):
-        table[(np.arange(65536) >> i) & 1 == 1] += 1
-    idx = np.arange(n_subsets, dtype=np.int64)
-    return table[idx & 0xFFFF] + table[idx >> 16]
+    """Popcount of every index below ``n_subsets`` (a power of two).
+
+    Built by doubling: on ``[2**k, 2**(k+1))`` the popcount is the one on
+    ``[0, 2**k)`` plus one.  Linear in ``n_subsets``, with no lookup table
+    kept between calls.
+    """
+    pc = np.zeros(1, dtype=np.int64)
+    while len(pc) < n_subsets:
+        pc = np.concatenate((pc, pc + 1))
+    return pc[:n_subsets]

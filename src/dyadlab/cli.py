@@ -205,9 +205,19 @@ def cmd_verify_cases(cfg: dict, args) -> int:
     return EXIT_OK if mismatches == 0 else EXIT_VERIFY
 
 
+def _int_list(cfg: dict, key: str, default) -> list:
+    """A config list of plain integers (booleans and strings rejected)."""
+    value = cfg.get(key, default)
+    if not isinstance(value, list) or any(
+        isinstance(v, bool) or not isinstance(v, int) for v in value
+    ):
+        raise ConfigError(f"{key} must be a list of integers, got {value!r}")
+    return value
+
+
 def cmd_verify_decomposition(cfg: dict, args) -> int:
-    dims = tuple(cfg.get("dims", [1]))
-    depths = tuple(cfg.get("depths", [5]))
+    dims = tuple(_int_list(cfg, "dims", [1]))
+    depths = tuple(_int_list(cfg, "depths", [5]))
     if len(dims) != len(depths):
         raise ConfigError("dims and depths must have equal length")
     seeds = cfg.get("seeds", list(range(100)))
@@ -216,7 +226,7 @@ def cmd_verify_decomposition(cfg: dict, args) -> int:
     seeds = sorted(int(s) for s in seeds)
     cube_rules = cfg.get("cube_rules", ["first-child"] * len(dims))
     sig_rules = cfg.get("sig_rules", ["identity"] * len(dims))
-    max_levels = cfg.get("max_levels", [n - 2 for n in depths])
+    max_levels = _int_list(cfg, "max_levels", [n - 2 for n in depths])
     for lvl, n in zip(max_levels, depths):
         if lvl > n - 2:
             raise ConfigError(
@@ -376,8 +386,9 @@ def cmd_opnorm(cfg: dict, args) -> int:
         rows,
         {"plan": plan},
     )
-    print(f"opnorm: {len(rows)} rows")
-    return EXIT_OK
+    stalled = sum(1 for r in rows if r["converged"] is False)
+    print(f"opnorm: {len(rows)} rows, {stalled} not converged")
+    return EXIT_OK if stalled == 0 else EXIT_VERIFY
 
 
 def cmd_ratio(cfg: dict, args) -> int:
@@ -413,9 +424,12 @@ def cmd_ratio(cfg: dict, args) -> int:
             "depth": r["depth"],
             "ratio": "" if r["ratio"] is None else repr(r["ratio"]),
             "bmo_mode": r["bmo_mode"],
+            "iterations": r["iterations"],  # JSON mirror only
+            "converged": r["converged"],
         }
         for r in rows
     ]
+    stalled = sum(1 for r in rows if r["converged"] is False)
     mismatch = 0
     if args.fixtures:
         with open(args.fixtures) as fh:
@@ -431,21 +445,25 @@ def cmd_ratio(cfg: dict, args) -> int:
             est = para.bmo_norm(b, bmo_mode)
             res = comm.operator_norm(b, TensorShift.single(smap), grid, method=method)
             got = res.value / est.value
-            if abs(got - family[key]["ratio"]) > 1e-8:
+            if not res.converged or abs(got - family[key]["ratio"]) > 1e-8:
                 mismatch += 1
                 print(
                     f"fixture mismatch at depth {depth}: "
-                    f"got {got!r}, expected {family[key]['ratio']!r}"
+                    f"got {got!r}, expected {family[key]['ratio']!r}, "
+                    f"converged {res.converged}"
                 )
     _write_reports(
         args.out,
         "ratio",
         ["seed", "depth", "ratio", "bmo_mode"],
         out_rows,
-        {"plan": plan, "fixture_mismatches": mismatch},
+        {"plan": plan, "fixture_mismatches": mismatch, "not_converged": stalled},
     )
-    print(f"ratio: {len(out_rows)} rows, {mismatch} fixture mismatches")
-    return EXIT_OK if mismatch == 0 else EXIT_VERIFY
+    print(
+        f"ratio: {len(out_rows)} rows, {mismatch} fixture mismatches, "
+        f"{stalled} not converged"
+    )
+    return EXIT_OK if mismatch == 0 and stalled == 0 else EXIT_VERIFY
 
 
 def cmd_riesz(cfg: dict, args) -> int:

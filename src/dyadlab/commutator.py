@@ -479,8 +479,10 @@ def norm_ratio_experiment(
     """Commutator norm over BMO norm for seeded random symbols.
 
     Returns one row per (depth, seed); rows with no strict content in the
-    symbol are skipped (ratio ``None``).  Ratios are invariant under
-    scaling of the symbol.
+    symbol are skipped (ratio ``None``, no iteration run, ``converged``
+    ``None``).  Every other row carries the operator-norm iteration count
+    and whether it converged.  Ratios are invariant under scaling of the
+    symbol.
     """
     rows = []
     for depth in depths:
@@ -500,6 +502,8 @@ def norm_ratio_experiment(
                         "bmo_mode": bmo_mode,
                         "opnorm": 0.0,
                         "bmo": 0.0,
+                        "iterations": 0,
+                        "converged": None,
                     }
                 )
                 continue
@@ -512,6 +516,8 @@ def norm_ratio_experiment(
                     "bmo_mode": bmo_mode,
                     "opnorm": res.value,
                     "bmo": est.value,
+                    "iterations": res.iterations,
+                    "converged": res.converged,
                 }
             )
     return rows

@@ -12,8 +12,26 @@ in *every* parameter is stored separately as the expansion ``mean``.
 
 Shift operators and the square function only look at the all-strict keys;
 paraproducts additionally consume renormalized averages, which are inner
-products against all-ones signatures at arbitrary levels and are computed
-directly by :func:`haar_coefficient`.
+products against all-ones signatures at arbitrary levels.
+
+Transform.  :func:`analyze` and :func:`synthesize` run a sparse, separable
+integer pyramid (Mallat's fast wavelet transform, in the unnormalized
+sum/difference form of Sweldens' lifting scheme).  The forward pass takes
+one parameter at a time from the finest level to the coarsest; at each
+level, per-axis sum/difference butterflies combine the ``2**d`` children
+of every cube that carries data into the parent's ``2**d`` signatures, and
+the all-ones sum feeds the next level.  Values are Python ints over one
+shared power-of-two denominator, and each coefficient's ``|R|**(-1/2)`` is
+applied once at the end, as a power of sqrt(2) whose parity is that of
+``sum(level * d)``.  :func:`synthesize` is the transpose, coarse to fine,
+and accepts all-ones keys at any level.  Cost follows the support of the
+input, not the size of the grid.  A restricted forward pass keeps one
+signature per parameter and, for all-ones parts, the sums at every level
+including the cells (:func:`haar_pattern_sums`); paraproducts are computed
+from two such passes and one inverse pass (:func:`synthesize_patterns`).
+
+:func:`haar_coefficient` and :func:`haar_cell_value` are the per-cell
+reference definitions; the tests check the pyramid against them.
 """
 
 from __future__ import annotations
@@ -43,6 +61,8 @@ __all__ = [
     "HaarExpansion",
     "analyze",
     "synthesize",
+    "haar_pattern_sums",
+    "synthesize_patterns",
     "square_function",
     "square_function_sq",
     "lp_norm",
@@ -147,48 +167,6 @@ def mean_key(grid: GridSpec):
     return rect, tuple(all_ones(d) for d in grid.dims)
 
 
-@lru_cache(maxsize=16)
-def _cell_combo_table(grid: GridSpec):
-    """Per cell: the non-constant basis keys it meets, with Haar values."""
-    per_param_slots = []
-    for s in range(grid.t):
-        d, n = grid.dims[s], grid.depth[s]
-        sigs = strict_signatures(d)
-        mean_slot = (unit_cube(d), all_ones(d), ONE)
-        table = {}
-        for part in itertools.product(range(1 << n), repeat=d):
-            slots = [mean_slot]
-            for k in range(n):
-                pos = tuple(p >> (n - k) for p in part)
-                cube = DyadicCube(d, k, pos)
-                mag = sqrt2_pow(k * d)
-                bits = tuple((p >> (n - k - 1)) & 1 for p in part)
-                for sig in sigs:
-                    sign = 1
-                    for eps, b in zip(sig, bits):
-                        if eps == 0 and b == 0:
-                            sign = -sign
-                    slots.append((cube, sig, mag if sign > 0 else -mag))
-            table[part] = slots
-        per_param_slots.append(table)
-
-    combos = {}
-    for cell in grid.cells():
-        opts = [per_param_slots[s][cell[s]] for s in range(grid.t)]
-        entries = []
-        for combo in itertools.product(*opts):
-            if all(not is_strict(sig) for _, sig, _ in combo):
-                continue  # the global mean is kept separately
-            rect = DyadicRectangle(tuple(c for c, _, _ in combo))
-            vecsig = tuple(sig for _, sig, _ in combo)
-            val = ONE
-            for _, _, v in combo:
-                val = val * v
-            entries.append(((rect, vecsig), val))
-        combos[cell] = entries
-    return combos
-
-
 class HaarExpansion:
     """Exact Haar coefficients of a step function."""
 
@@ -290,67 +268,236 @@ def _key_sort(key):
     )
 
 
-@lru_cache(maxsize=16)
-def _cell_combo_index(grid: GridSpec):
-    """Interned combo table: key list plus per-cell (index, value-triple) rows.
+# -- the integer pyramid -------------------------------------------------------
+#
+# A pass works on dicts keyed by *slot tuples*, one slot per parameter: a
+# finest-level position before that parameter is transformed, and
+# ``(level, pos, sig)`` after it.  Values are "pattern sums": inner products
+# with the Haar sign pattern ``H = h * |Q|**(1/2)`` (+-1 on the cube, or its
+# indicator for the all-ones signature), so every butterfly is a plain
+# sum or difference.  Inside a pass, ``m + n*sqrt(2)`` over the pass's
+# shared denominator ``2**e`` is packed into the one int ``m * 2**bits + n``;
+# every value a pass produces is a +-1 combination of its inputs, so once
+# ``bits`` exceeds the bit length of the sum of all ``|n|`` the two parts
+# never mix.
 
-    The integer-triple form lets :func:`analyze` accumulate with plain int
-    arithmetic, skipping Scalar allocation and rectangle hashing in the
-    hot loop.
+
+@lru_cache(maxsize=None)
+def _sig_table(d: int):
+    """Signatures by butterfly index (bit ``j`` of the index is ``sig[j]``),
+    and the index pairs ``(low, high)`` that each axis's butterfly combines.
+
+    A child cube's index is read the same way (bit ``j`` is its upper half
+    on axis ``j``), matching :meth:`DyadicCube.child_index`.
     """
-    combos = _cell_combo_table(grid)
-    keys: list = []
-    key_id: dict = {}
-    per_cell: dict = {}
-    for cell, entries in combos.items():
-        rows = []
-        for key, hval in entries:
-            i = key_id.get(key)
-            if i is None:
-                i = len(keys)
-                key_id[key] = i
-                keys.append(key)
-            rows.append((i, hval.m, hval.n, hval.e))
-        per_cell[cell] = rows
-    return tuple(keys), per_cell
+    sigs = tuple(tuple((i >> j) & 1 for j in range(d)) for i in range(1 << d))
+    pairs = tuple(
+        (i, i | (1 << j)) for j in range(d) for i in range(1 << d) if not (i >> j) & 1
+    )
+    return sigs, pairs
+
+
+def _sig_index(sig) -> int:
+    return sum(b << j for j, b in enumerate(sig))
+
+
+# analyze's keys reuse their cubes: a new DyadicCube validates every field
+_cube = lru_cache(maxsize=1 << 14)(DyadicCube)
+
+
+@lru_cache(maxsize=1 << 14)
+def _parent(pos):
+    """Parent position and child index of a cube position."""
+    child = 0
+    for j, p in enumerate(pos):
+        child |= (p & 1) << j
+    return tuple(p >> 1 for p in pos), child
+
+
+@lru_cache(maxsize=1 << 14)
+def _children(pos):
+    """Child positions of a cube position, by child index."""
+    sigs, _ = _sig_table(len(pos))
+    return tuple(tuple(2 * p + b for p, b in zip(pos, bits)) for bits in sigs)
+
+
+def _pack(items):
+    """``(slots, m, n, e)`` items, values ``(m + n*sqrt(2)) / 2**e``, ->
+    ``({slots: packed}, e, bits)`` over the largest ``e``; equal slots add."""
+    items = list(items)
+    e = max((it[3] for it in items), default=0)
+    bound = sum(abs(n) << (e - ne) for _, _, n, ne in items)
+    bits = bound.bit_length() + 1
+    packed: dict = {}
+    for slots, m, n, ne in items:
+        packed[slots] = packed.get(slots, 0) + (((m << bits) + n) << (e - ne))
+    return packed, e, bits
+
+
+def _unpack(x: int, bits: int):
+    half = 1 << (bits - 1)
+    n = ((x + half) & ((half << 1) - 1)) - half
+    return (x - n) >> bits, n
+
+
+def _forward_param(vals: dict, s: int, d: int, depth: int, keep) -> dict:
+    """Forward pass on parameter ``s``: slot ``s`` goes from a finest
+    position to ``(level, pos, sig)``, finest level first.
+
+    ``keep=None`` emits every strict signature below ``depth`` and the
+    all-ones sum of the unit cube; ``keep=sig`` emits only ``sig``, and an
+    all-ones ``sig`` emits the sums at every level, the cells included.
+    """
+    sigs, pairs = _sig_table(d)
+    ones = len(sigs) - 1
+    if keep is None:
+        strict, sums = range(ones), False
+    else:
+        k = _sig_index(keep)
+        strict, sums = ((), True) if k == ones else ((k,), False)
+    out: dict = {}
+    cur = vals
+    for level in range(depth, 0, -1):
+        if sums:
+            for key, v in cur.items():
+                out[key[:s] + ((level, key[s], sigs[ones]),) + key[s + 1 :]] = v
+        groups: dict = {}
+        for key, v in cur.items():
+            ppos, child = _parent(key[s])
+            parent = key[:s] + (ppos,) + key[s + 1 :]
+            g = groups.get(parent)
+            if g is None:
+                g = groups[parent] = [0] * (ones + 1)
+            g[child] = v
+        cur = {}
+        for parent, g in groups.items():
+            for i, k in pairs:
+                lo, hi = g[i], g[k]
+                g[i] = hi - lo
+                g[k] = hi + lo
+            if g[ones]:
+                cur[parent] = g[ones]
+            for i in strict:
+                if g[i]:
+                    slot = (level - 1, parent[s], sigs[i])
+                    out[parent[:s] + (slot,) + parent[s + 1 :]] = g[i]
+    if keep is None or sums:
+        for key, v in cur.items():
+            out[key[:s] + ((0, key[s], sigs[ones]),) + key[s + 1 :]] = v
+    return out
+
+
+def _inverse_param(vals: dict, s: int, d: int, depth: int) -> dict:
+    """Transpose of :func:`_forward_param`, coarsest level first: slot
+    ``s`` goes from ``(level, pos, sig)`` to a finest position.  All-ones
+    signatures are accepted at every level up to ``depth``."""
+    sigs, pairs = _sig_table(d)
+    ones = len(sigs) - 1
+    by_level: list = [{} for _ in range(depth + 1)]
+    for key, v in vals.items():
+        level, pos, sig = key[s]
+        i = _sig_index(sig)
+        if len(sig) != d or level > depth or (level == depth and i != ones):
+            raise ValueError(f"Haar key slot {key[s]} not resolvable on this grid")
+        rest = key[:s] + (pos,) + key[s + 1 :]
+        g = by_level[level].get(rest)
+        if g is None:
+            g = by_level[level][rest] = [0] * (ones + 1)
+        g[i] += v
+    for level in range(depth):
+        finer = by_level[level + 1]
+        for key, g in by_level[level].items():
+            for i, k in pairs:
+                dif, tot = g[i], g[k]
+                g[i] = tot - dif
+                g[k] = tot + dif
+            for cpos, v in zip(_children(key[s]), g):
+                if v:
+                    ckey = key[:s] + (cpos,) + key[s + 1 :]
+                    h = finer.get(ckey)
+                    if h is None:
+                        h = finer[ckey] = [0] * (ones + 1)
+                    h[ones] += v
+    return {key: g[ones] for key, g in by_level[depth].items() if g[ones]}
+
+
+def _forward(f: StepFunction, vecsig=None):
+    """Packed pattern sums of ``f``: ``(sums, e, bits)``, see :func:`_forward_param`."""
+    grid = f.grid
+    vals, e, bits = _pack((cell, v.m, v.n, v.e) for cell, v in f.values.items())
+    for s, (d, n) in enumerate(zip(grid.dims, grid.depth)):
+        vals = _forward_param(vals, s, d, n, None if vecsig is None else vecsig[s])
+    return vals, e, bits
+
+
+def _inverse(grid: GridSpec, items) -> StepFunction:
+    vals, e, bits = _pack(items)
+    for s, (d, n) in enumerate(zip(grid.dims, grid.depth)):
+        vals = _inverse_param(vals, s, d, n)
+    values = {}
+    for cell, x in vals.items():
+        m, n = _unpack(x, bits)
+        values[cell] = Scalar(m, n, e)
+    return _step_unchecked(grid, values)
+
+
+def haar_pattern_sums(f: StepFunction, vecsig) -> tuple:
+    """Sums of ``f`` against the Haar sign patterns of one vector signature.
+
+    Returns ``({slots: (m, n)}, e)``: for the rectangle with per-parameter
+    slots ``(level, pos, sig)``, ``sum over cells of f * H`` equals
+    ``(m + n*sqrt(2)) / 2**e``, where ``H`` is the Haar function's sign
+    pattern, so ``haar_coefficient = sum * |R|**(-1/2) * cell volume``.
+    Every rectangle where ``vecsig`` resolves is covered; all-ones parts
+    give the plain sums (renormalized averages up to scale) at every
+    level, the cells included.  Zero sums are omitted.
+    """
+    dims = f.grid.dims
+    if len(vecsig) != len(dims) or any(len(sig) != d for sig, d in zip(vecsig, dims)):
+        raise ValueError("signature arity does not match the grid")
+    sums, e, bits = _forward(f, vecsig)
+    return {slots: _unpack(x, bits) for slots, x in sums.items()}, e
+
+
+def synthesize_patterns(grid: GridSpec, terms, e: int) -> StepFunction:
+    """Step function ``sum of (m + n*sqrt(2)) / 2**e * H`` over
+    ``(slots, m, n)`` terms, ``H`` the sign pattern named by ``slots``
+    (see :func:`haar_pattern_sums`); the transpose of the forward pass."""
+    return _inverse(grid, ((slots, m, n, e) for slots, m, n in terms))
+
+
+def _mean_slots(dims) -> tuple:
+    return tuple((0, (0,) * d, all_ones(d)) for d in dims)
+
+
+def _times_inv_sqrt_volume(slots, dims, m: int, n: int, e: int):
+    """``(m + n*sqrt(2)) / 2**e`` times ``|R|**(-1/2) = sqrt(2)**L`` for the
+    rectangle of ``slots``, ``L = sum(level * d)``: a swap of the two parts
+    when ``L`` is odd, a shift of the denominator by ``L // 2``."""
+    half = sum(slot[0] * d for slot, d in zip(slots, dims))
+    if half & 1:
+        m, n = 2 * n, m
+    return m, n, e - (half >> 1)
 
 
 def analyze(f: StepFunction) -> HaarExpansion:
     """Exact Haar coefficients; inverse of :func:`synthesize`."""
     grid = f.grid
-    keys, per_cell = _cell_combo_index(grid)
-    vol_e = grid.cell_volume_scalar().e
+    dims = grid.dims
+    sums, e, bits = _forward(f)
+    e += sum(d * n for d, n in zip(dims, grid.depth))  # the cell volume
+    mean_slots = _mean_slots(dims)
     mean = ZERO
-    acc: dict = {}
-    for cell, v in f.values.items():
-        mean = mean + v
-        vm, vn, ve = v.m, v.n, v.e
-        for idx, hm, hn, he in per_cell[cell]:
-            pm = vm * hm + 2 * vn * hn
-            pn = vm * hn + vn * hm
-            pe = ve + he
-            slot = acc.get(idx)
-            if slot is None:
-                acc[idx] = [pm, pn, pe]
-            else:
-                se = slot[2]
-                if se == pe:
-                    slot[0] += pm
-                    slot[1] += pn
-                elif se > pe:
-                    d = se - pe
-                    slot[0] += pm << d
-                    slot[1] += pn << d
-                else:
-                    d = pe - se
-                    slot[0] = (slot[0] << d) + pm
-                    slot[1] = (slot[1] << d) + pn
-                    slot[2] = pe
     coeffs: dict = {}
-    for idx, (m, n, e) in acc.items():
-        if m or n:
-            coeffs[keys[idx]] = Scalar(m, n, e + vol_e)
-    mean = mean * grid.cell_volume_scalar()
+    for slots, x in sums.items():
+        c = Scalar(*_times_inv_sqrt_volume(slots, dims, *_unpack(x, bits), e))
+        if slots == mean_slots:
+            mean = c
+            continue
+        rect = DyadicRectangle(
+            tuple(_cube(d, level, pos) for (level, pos, _), d in zip(slots, dims))
+        )
+        coeffs[(rect, tuple(slot[2] for slot in slots))] = c
     return _expansion_unchecked(grid, mean, coeffs)
 
 
@@ -362,19 +509,29 @@ def _expansion_unchecked(grid, mean, coeffs) -> HaarExpansion:
     return e
 
 
+def _step_unchecked(grid, values) -> StepFunction:
+    f = StepFunction.__new__(StepFunction)
+    f.grid = grid
+    f.values = values
+    return f
+
+
 def synthesize(e: HaarExpansion) -> StepFunction:
-    """Exact reconstruction from Haar coefficients."""
+    """Exact reconstruction from Haar coefficients.
+
+    Keys may carry all-ones parts at any level (normalized indicators).
+    """
     grid = e.grid
-    values: dict = {}
+    items = []
     if not e.mean.is_zero:
-        for cell in grid.cells():
-            values[cell] = e.mean
+        items.append((_mean_slots(grid.dims), e.mean.m, e.mean.n, e.mean.e))
     for (rect, vecsig), c in e.coeffs.items():
-        for cell in rect.cell_keys(grid.depth):
-            add = c * haar_cell_value(grid, rect, vecsig, cell)
-            cur = values.get(cell)
-            values[cell] = add if cur is None else cur + add
-    return StepFunction(grid, values)
+        slots = tuple(
+            (cube.level, cube.pos, sig) for cube, sig in zip(rect.factors, vecsig)
+        )
+        # h = H * |R|**(-1/2): the pattern sum of each coefficient
+        items.append((slots, *_times_inv_sqrt_volume(slots, grid.dims, c.m, c.n, c.e)))
+    return _inverse(grid, items)
 
 
 # -- square function and norms ---------------------------------------------------
@@ -419,12 +576,28 @@ def l2_norm_sq(f: StepFunction) -> Scalar:
 
 @lru_cache(maxsize=16)
 def haar_basis_keys(grid: GridSpec) -> tuple:
-    """Ordered orthonormal basis keys: the mean key first, then all others."""
-    seen = set()
-    for entries in _cell_combo_table(grid).values():
-        for key, _ in entries:
-            seen.add(key)
-    return (mean_key(grid),) + tuple(sorted(seen, key=_key_sort))
+    """Ordered orthonormal basis keys: the mean key first, then all others.
+
+    Per parameter a slot is the unit cube with the all-ones signature or a
+    cube below the finest level with a strict signature; a key takes one
+    slot per parameter, and the all-constant key is the mean.
+    """
+    per_param = []
+    for s, d in enumerate(grid.dims):
+        slots = [(unit_cube(d), all_ones(d))]
+        slots.extend(
+            (cube, sig)
+            for cube in grid.cubes(s, grid.depth[s] - 1)
+            for sig in strict_signatures(d)
+        )
+        per_param.append(slots)
+    mean = mean_key(grid)
+    keys = []
+    for combo in itertools.product(*per_param):
+        key = (DyadicRectangle(tuple(c for c, _ in combo)), tuple(sig for _, sig in combo))
+        if key != mean:
+            keys.append(key)
+    return (mean,) + tuple(sorted(keys, key=_key_sort))
 
 
 def basis_function(grid: GridSpec, key) -> StepFunction:

@@ -26,12 +26,19 @@ import numpy as np
 from ._kernels import popcounts, zeta_sos
 from .errors import CapExceededError
 from .grid import (
+    DyadicCube,
     DyadicRectangle,
     GridSpec,
     enumerate_rectangles,
     is_strict,
 )
-from .haar import analyze, haar_cell_value, haar_coefficient, random_haar_function
+from .haar import (  # noqa: F401  haar_coefficient: bench/tracer.py looks it up here
+    analyze,
+    haar_coefficient,
+    haar_pattern_sums,
+    random_haar_function,
+    synthesize_patterns,
+)
 from .scalar import Scalar, ZERO
 from .stepfn import StepFunction
 
@@ -145,44 +152,51 @@ def random_signs(grid: GridSpec, seed: int) -> _SeededSigns:
     )
 
 
-def _resolvable(grid: GridSpec, rect: DyadicRectangle, vecsig) -> bool:
-    for cube, sig, n in zip(rect.factors, vecsig, grid.depth):
-        if is_strict(sig) and cube.level >= n:
-            return False
-    return True
-
-
 def apply_paraproduct(
     spec: ParaproductSpec, f1: StepFunction, f2: StepFunction
 ) -> StepFunction:
-    """Exact rectangle sum of the bilinear paraproduct."""
+    """Exact rectangle sum of the bilinear paraproduct, in coefficient space.
+
+    One restricted forward pass per input gives the Haar sign-pattern sums
+    ``S1, S2`` at every rectangle (:func:`~dyadlab.haar.haar_pattern_sums`).
+    With ``c = S * |R|**(-1/2) * v`` (``v`` the cell volume), the term
+    ``sign * c1 * c2 * |R|**(-1/2) * h3`` is ``sign * S1 * S2 * |R|**(-2) *
+    v**2`` times the output sign pattern, so one inverse pass over these
+    products synthesizes the sum.  Rectangles where a strict slot sits at
+    the finest level carry no Haar function and are skipped.
+    """
     grid = f1.grid
     if f2.grid != grid:
         raise ValueError("grid mismatch")
     if spec.t != grid.t:
         raise ValueError("spec arity does not match the grid")
-    out: dict = {}
-    for rect in enumerate_rectangles(grid):
-        if not (
-            _resolvable(grid, rect, spec.eps1)
-            and _resolvable(grid, rect, spec.eps2)
-            and _resolvable(grid, rect, spec.eps3)
+    dims = grid.dims
+    sums1, e1 = haar_pattern_sums(f1, spec.eps1)
+    sums2, e2 = haar_pattern_sums(f2, spec.eps2)
+    terms = []
+    for slots, (m1, n1) in sums1.items():
+        cubes = [(level, pos) for level, pos, _ in slots]
+        pair = sums2.get(tuple(c + (sig,) for c, sig in zip(cubes, spec.eps2)))
+        if pair is None:
+            continue
+        if any(
+            level == depth and is_strict(sig)
+            for (level, _), depth, sig in zip(cubes, grid.depth, spec.eps3)
         ):
             continue
-        c1 = haar_coefficient(f1, rect, spec.eps1)
-        if c1.is_zero:
-            continue
-        c2 = haar_coefficient(f2, rect, spec.eps2)
-        if c2.is_zero:
-            continue
-        w = c1 * c2 * rect.inv_sqrt_volume()
-        if spec.sign(rect) < 0:
-            w = -w
-        for cell in rect.cell_keys(grid.depth):
-            add = w * haar_cell_value(grid, rect, spec.eps3, cell)
-            cur = out.get(cell)
-            out[cell] = add if cur is None else cur + add
-    return StepFunction(grid, out)
+        m2, n2 = pair
+        m, n = m1 * m2 + 2 * n1 * n2, m1 * n2 + n1 * m2
+        if spec.signs is not None:
+            rect = DyadicRectangle(
+                tuple(DyadicCube(d, level, pos) for (level, pos), d in zip(cubes, dims))
+            )
+            if spec.sign(rect) < 0:
+                m, n = -m, -n
+        shift = 2 * sum(level * d for (level, _), d in zip(cubes, dims))
+        out = tuple(c + (sig,) for c, sig in zip(cubes, spec.eps3))
+        terms.append((out, m << shift, n << shift))
+    vol_e = 2 * sum(d * depth for d, depth in zip(dims, grid.depth))
+    return synthesize_patterns(grid, terms, e1 + e2 + vol_e)
 
 
 # -- product BMO ----------------------------------------------------------------

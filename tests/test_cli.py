@@ -234,3 +234,63 @@ def test_riesz_reports_and_gnuplot(tmp_path):
     assert [r["M"] for r in rows] == [0, 1, 2, 3, 4]
     assert float(rows[0]["residual"]) == 1.0
     assert (out / "riesz.dat").read_text().startswith("# seed M residual")
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"depths": ["5"]},
+        {"dims": [True]},
+        {"dims": [1], "depths": [4], "max_levels": [1.5]},
+        {"depths": 5},
+    ],
+)
+def test_verify_decomposition_rejects_untyped_lists(tmp_path, capsys, bad):
+    cfg = write_config(tmp_path, {"schema_version": 1, "seeds": [0], **bad})
+    assert run(["verify-decomposition", "--config", cfg]) == cli.EXIT_CONFIG
+    assert "must be a list of integers" in capsys.readouterr().err
+
+
+def _stalled_power_iteration(monkeypatch):
+    import dyadlab.commutator as comm
+
+    real = comm.power_iteration
+
+    def stalled(mat, v0, tol, max_iter):
+        sigma, _, _ = real(mat, v0, tol, max_iter)
+        return sigma, max_iter, False
+
+    monkeypatch.setattr(comm, "power_iteration", stalled)
+
+
+def test_ratio_nonconvergence_fails_closed(tmp_path, monkeypatch):
+    _stalled_power_iteration(monkeypatch)
+    cfg = write_config(
+        tmp_path, {"schema_version": 1, "d": 1, "depths": [3], "seeds": [0, 1]}
+    )
+    out = tmp_path / "r"
+    assert run(["ratio", "--config", cfg, "--out", str(out)]) == cli.EXIT_VERIFY
+    report = json.loads((out / "ratio.json").read_text())
+    assert report["meta"]["not_converged"] == 2
+    assert [r["converged"] for r in report["rows"]] == [False, False]
+    assert all(r["iterations"] == 10000 for r in report["rows"])
+    header = (out / "ratio.csv").read_text().splitlines()[0]
+    assert header == "seed,depth,ratio,bmo_mode"
+
+
+def test_ratio_rows_carry_convergence(tmp_path):
+    cfg = write_config(
+        tmp_path, {"schema_version": 1, "d": 1, "depths": [3], "seeds": [0]}
+    )
+    out = tmp_path / "r"
+    assert run(["ratio", "--config", cfg, "--out", str(out)]) == cli.EXIT_OK
+    (row,) = json.loads((out / "ratio.json").read_text())["rows"]
+    assert row["converged"] is True and row["iterations"] > 0
+
+
+def test_opnorm_nonconvergence_fails_closed(tmp_path, monkeypatch):
+    _stalled_power_iteration(monkeypatch)
+    cfg = write_config(
+        tmp_path, {"schema_version": 1, "d": 1, "depths": [3], "seeds": [0]}
+    )
+    assert run(["opnorm", "--config", cfg]) == cli.EXIT_VERIFY
