@@ -13,7 +13,6 @@ from .grid import (
     DyadicCube,
     DyadicRectangle,
     GridSpec,
-    children,
     enumerate_rectangles,
     strict_signatures,
     all_ones,
@@ -30,18 +29,12 @@ from .haar import (
     haar_coefficient,
     square_function,
     square_function_sq,
-    lp_norm,
-    l2_norm_sq,
     haar_basis_keys,
     random_haar_function,
 )
 from .shift import (
     ShiftMap,
-    ShiftOperator,
     TensorShift,
-    apply_shift,
-    apply_shift_counting,
-    tensor_apply,
     tensor_apply_counting,
     matrix_in_haar_basis,
     matrix_to_float,

@@ -1,32 +1,30 @@
-"""Hot numeric kernels: numba-jitted with a pure-numpy fallback.
+"""Numeric kernels in numpy: subset-lattice sums, popcounts, power iteration.
 
 Two inner loops dominate the package's numeric runtime: the subset-lattice
 sum (zeta transform) behind the brute-force Carleson scan, and the power
-iteration behind operator norms.  Both ship as ``@njit`` kernels; setting
-``DYADLAB_DISABLE_NUMBA=1`` (or any truthy value) selects the pure-numpy
-implementations instead.  ``benchmarks/bench_kernels.py`` compares the two
-paths.
+iteration behind operator norms.  Both are vectorized numpy.
 
 Everything exact stays exact: the zeta transform runs on int64 pairs
 ``(a, b)`` encoding ``a + b*sqrt(2)`` over a common power-of-two
-denominator; callers fall back to Python big integers when the int64
-bound check fails.
+denominator; callers check the int64 bound first and fall back to
+:func:`_zeta_sos_loop` on Python lists of big integers when it fails.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 __all__ = ["BACKEND", "zeta_sos", "power_iteration", "popcounts"]
 
+# The only backend; run records report it.
+BACKEND = "numpy"
+
 
 def _zeta_sos_loop(a, b, nbits):
     """In-place subset sums: after the call, ``a[u] = sum(a0[s] for s subset of u)``.
 
-    Works on numpy int64 arrays and (uncompiled) on plain Python lists,
-    which is the arbitrary-precision fallback.
+    The arbitrary-precision fallback: works on plain Python lists (and on
+    numpy arrays, where :func:`zeta_sos` is faster).
     """
     n = len(a)
     for i in range(nbits):
@@ -37,7 +35,8 @@ def _zeta_sos_loop(a, b, nbits):
                 b[u] += b[u ^ bit]
 
 
-def _zeta_sos_np(a, b, nbits):
+def zeta_sos(a, b, nbits):
+    """In-place subset sums of two int64 arrays of length ``2**nbits``."""
     for i in range(nbits):
         w = 1 << i
         a2 = a.reshape(-1, 2 * w)
@@ -46,7 +45,7 @@ def _zeta_sos_np(a, b, nbits):
         b2[:, w:] += b2[:, :w]
 
 
-def _power_iter_impl(mat, v0, tol, max_iter):
+def power_iteration(mat, v0, tol, max_iter):
     """Largest singular value of ``mat`` via power iteration on the
     normal matrix.  Returns ``(sigma, iterations, converged)``."""
     nv = np.sqrt(np.sum(v0 * v0))
@@ -71,33 +70,6 @@ def _power_iter_impl(mat, v0, tol, max_iter):
             return s, it + 1, True
         v = u / nu
     return sigma, max_iter, False
-
-
-def _power_iter_np(mat, v0, tol, max_iter):
-    return _power_iter_impl(mat, v0, tol, max_iter)
-
-
-_flag = os.environ.get("DYADLAB_DISABLE_NUMBA", "").strip().lower()
-_use_numba = _flag in ("", "0", "false", "no")
-
-if _use_numba:
-    try:
-        from numba import njit
-
-        _zeta_sos_nb = njit(cache=True)(_zeta_sos_loop)
-        _power_iter_nb = njit(cache=True)(_power_iter_impl)
-        BACKEND = "numba"
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        BACKEND = "numpy"
-else:
-    BACKEND = "numpy"
-
-if BACKEND == "numba":
-    zeta_sos = _zeta_sos_nb
-    power_iteration = _power_iter_nb
-else:
-    zeta_sos = _zeta_sos_np
-    power_iteration = _power_iter_np
 
 
 def popcounts(n_subsets: int) -> np.ndarray:

@@ -124,8 +124,8 @@ def _dry_run(plan: dict) -> int:
 
 
 def cmd_verify_cases(cfg: dict, args) -> int:
-    d = int(cfg.get("d", 1))
-    depth = int(cfg.get("depth", 4 if d == 1 else 2))
+    d = _int(cfg, "d", 1)
+    depth = _int(cfg, "depth", 4 if d == 1 else 2)
     if d == 1 and depth > 4 or d == 2 and depth > 2 or d > 2:
         raise ConfigError("supported ranges: d=1 depth<=4, d=2 depth<=2")
     cube_rules = cfg.get("cube_rules", ["first-child", "rotating"])
@@ -215,15 +215,27 @@ def _int_list(cfg: dict, key: str, default) -> list:
     return value
 
 
+def _int(cfg: dict, key: str, default) -> int:
+    """A config integer (booleans and strings rejected)."""
+    value = cfg.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _seeds(cfg: dict, args, default) -> list:
+    """Sorted seeds: the ``--seed-list`` override, else the config's list."""
+    if args.seed_list is not None:
+        return sorted(args.seed_list)
+    return sorted(_int_list(cfg, "seeds", default))
+
+
 def cmd_verify_decomposition(cfg: dict, args) -> int:
     dims = tuple(_int_list(cfg, "dims", [1]))
     depths = tuple(_int_list(cfg, "depths", [5]))
     if len(dims) != len(depths):
         raise ConfigError("dims and depths must have equal length")
-    seeds = cfg.get("seeds", list(range(100)))
-    if args.seed_list is not None:
-        seeds = args.seed_list
-    seeds = sorted(int(s) for s in seeds)
+    seeds = _seeds(cfg, args, list(range(100)))
     cube_rules = cfg.get("cube_rules", ["first-child"] * len(dims))
     sig_rules = cfg.get("sig_rules", ["identity"] * len(dims))
     max_levels = _int_list(cfg, "max_levels", [n - 2 for n in depths])
@@ -292,12 +304,9 @@ def _symbol_from_config(symbol, grid: GridSpec, rng) -> StepFunction:
 
 
 def cmd_bmo(cfg: dict, args) -> int:
-    dims = tuple(cfg.get("dims", [1, 1]))
-    depths = tuple(cfg.get("depths", [2, 2]))
-    seeds = cfg.get("seeds", list(range(10)))
-    if args.seed_list is not None:
-        seeds = args.seed_list
-    seeds = sorted(int(s) for s in seeds)
+    dims = tuple(_int_list(cfg, "dims", [1, 1]))
+    depths = tuple(_int_list(cfg, "depths", [2, 2]))
+    seeds = _seeds(cfg, args, list(range(10)))
     modes = cfg.get("modes", ["rectangle-sup", "greedy-union"])
     symbol = cfg.get("symbol", "random")
     plan = {
@@ -337,17 +346,14 @@ def cmd_bmo(cfg: dict, args) -> int:
 
 
 def cmd_opnorm(cfg: dict, args) -> int:
-    d = int(cfg.get("d", 1))
-    depths = list(cfg.get("depths", [4]))
-    seeds = cfg.get("seeds", [0])
-    if args.seed_list is not None:
-        seeds = args.seed_list
-    seeds = sorted(int(s) for s in seeds)
+    d = _int(cfg, "d", 1)
+    depths = _int_list(cfg, "depths", [4])
+    seeds = _seeds(cfg, args, [0])
     cube_rule = cfg.get("cube_rule", "first-child")
     sig_rule = cfg.get("sig_rule", "identity")
     symbol = cfg.get("symbol", "random")
     method = cfg.get("method", "power")
-    cap = int(cfg.get("cap", 4096))
+    cap = _int(cfg, "cap", 4096)
     plan = {
         "command": "opnorm",
         "d": d,
@@ -392,12 +398,9 @@ def cmd_opnorm(cfg: dict, args) -> int:
 
 
 def cmd_ratio(cfg: dict, args) -> int:
-    d = int(cfg.get("d", 1))
-    depths = list(cfg.get("depths", [3, 4]))
-    seeds = cfg.get("seeds", list(range(10)))
-    if args.seed_list is not None:
-        seeds = args.seed_list
-    seeds = sorted(int(s) for s in seeds)
+    d = _int(cfg, "d", 1)
+    depths = _int_list(cfg, "depths", [3, 4])
+    seeds = _seeds(cfg, args, list(range(10)))
     cube_rule = cfg.get("cube_rule", "first-child")
     sig_rule = cfg.get("sig_rule", "identity")
     bmo_mode = cfg.get("bmo_mode", "greedy-union")
@@ -467,14 +470,11 @@ def cmd_ratio(cfg: dict, args) -> int:
 
 
 def cmd_riesz(cfg: dict, args) -> int:
-    d = int(cfg.get("d", 1))
-    n = int(cfg.get("n", 16))
-    samples = int(cfg.get("samples", 64))
-    seeds = cfg.get("seeds", list(range(5)))
-    if args.seed_list is not None:
-        seeds = args.seed_list
-    seeds = sorted(int(s) for s in seeds)
-    component = int(cfg.get("component", 1))
+    d = _int(cfg, "d", 1)
+    n = _int(cfg, "n", 16)
+    samples = _int(cfg, "samples", 64)
+    seeds = _seeds(cfg, args, list(range(5)))
+    component = _int(cfg, "component", 1)
     plan = {
         "command": "riesz",
         "d": d,

@@ -34,15 +34,13 @@ from .grid import (
 )
 from .haar import haar_function, random_haar_function
 from .paraproduct import ParaproductSpec, apply_paraproduct, bmo_norm
-from .scalar import Scalar
+from .scalar import Scalar, sqrt2_pow
 from .shift import (
     ShiftMap,
-    ShiftOperator,
     TensorShift,
-    apply_shift_counting,
     matrix_in_haar_basis,
     matrix_to_float,
-    tensor_apply,
+    tensor_apply_counting,
 )
 from .stepfn import StepFunction
 from ._kernels import power_iteration
@@ -95,19 +93,6 @@ def case_classify(I: DyadicCube, Iprime: DyadicCube, smap: ShiftMap) -> CaseLabe
     return CaseLabel.DISJOINT
 
 
-def _haar_value_on_subcube(J: DyadicCube, kappa, K: DyadicCube) -> Scalar:
-    """Constant value of the strict Haar function on ``J`` over ``K`` (K strictly inside J)."""
-    from .scalar import sqrt2_pow
-
-    shift = K.level - J.level - 1
-    mag = sqrt2_pow(J.level * J.d)
-    sign = 1
-    for eps, p in zip(kappa, K.pos):
-        if eps == 0 and ((p >> shift) & 1) == 0:
-            sign = -sign
-    return mag if sign > 0 else -mag
-
-
 def _single_rect(cube: DyadicCube) -> DyadicRectangle:
     return DyadicRectangle((cube,))
 
@@ -123,8 +108,9 @@ def one_parameter_bracket(
     """
     h = haar_function(grid, _single_rect(I), (tuple(eps),))
     hp = haar_function(grid, _single_rect(Iprime), (tuple(epsprime),))
-    qh, t1 = apply_shift_counting(smap, h)
-    q_prod, t2 = apply_shift_counting(smap, hp * h)
+    q = TensorShift.single(smap)
+    qh, t1 = tensor_apply_counting(q, h)
+    q_prod, t2 = tensor_apply_counting(q, hp * h)
     if t1 or t2:
         raise ValueError("grid too shallow to resolve the bracket")
     return hp * qh - q_prod
@@ -136,7 +122,8 @@ def case_evaluate(
     """Closed-form bracket value for the matching case row.
 
     All signs are resolved by expanding the Haar products: the value of
-    the coarser Haar function on the finer cube supplies each sign.
+    the coarser Haar function on the finer cube supplies each sign, times
+    the coarser cube's ``|Q|**(-1/2)``.
     """
     eps = tuple(eps)
     epsprime = tuple(epsprime)
@@ -146,41 +133,44 @@ def case_evaluate(
 
     if label in (CaseLabel.DISJOINT, CaseLabel.STRICTLY_INSIDE):
         return zero
+    mag = sqrt2_pow(I.level * I.d)  # |I|**(-1/2)
 
     if label == CaseLabel.DIAGONAL:
         shifted = smap.sigma_cube(I)
         out = zero
         if sig_out is not None:
-            v = _haar_value_on_subcube(I, epsprime, shifted)
+            v = I.haar_sign(epsprime, shifted.level, shifted.pos) * mag
             out = out + v * haar_function(grid, _single_rect(shifted), (sig_out,))
         prod_sig = sig_xnor(eps, epsprime)
         prod = haar_function(grid, _single_rect(I), (prod_sig,))
-        q_prod, truncated = apply_shift_counting(smap, prod)
+        q_prod, truncated = tensor_apply_counting(TensorShift.single(smap), prod)
         if truncated:
             raise ValueError("grid too shallow to resolve the diagonal case")
-        return out - _inv_sqrt_vol(I) * q_prod
+        return out - mag * q_prod
 
     if label == CaseLabel.SHIFT_DIAGONAL:
         shifted = Iprime  # = sigma(I)
         out = zero
         if sig_out is not None:
             prod_sig = sig_xnor(epsprime, sig_out)
-            out = out + _inv_sqrt_vol(shifted) * haar_function(
+            out = out + sqrt2_pow(shifted.level * shifted.d) * haar_function(
                 grid, _single_rect(shifted), (prod_sig,)
             )
         sig_out_prime = smap.sigma_sig(epsprime)
         if sig_out_prime is not None:
-            v = _haar_value_on_subcube(I, eps, shifted)
+            v = I.haar_sign(eps, shifted.level, shifted.pos) * mag
             second = smap.sigma_cube(shifted)
             out = out - v * haar_function(grid, _single_rect(second), (sig_out_prime,))
         return out
 
     # below-diagonal rows: the symbol cube sits strictly inside the function cube
-    v = _haar_value_on_subcube(I, eps, Iprime)
+    v = I.haar_sign(eps, Iprime.level, Iprime.pos) * mag
     out = zero
     if label == CaseLabel.BELOW_ON_SHIFT and sig_out is not None:
         shifted = smap.sigma_cube(I)
-        w = _haar_value_on_subcube(shifted, sig_out, Iprime)
+        w = shifted.haar_sign(sig_out, Iprime.level, Iprime.pos) * sqrt2_pow(
+            shifted.level * shifted.d
+        )
         out = out + w * haar_function(grid, _single_rect(Iprime), (epsprime,))
     sig_out_prime = smap.sigma_sig(epsprime)
     if sig_out_prime is not None:
@@ -188,12 +178,6 @@ def case_evaluate(
             grid, _single_rect(smap.sigma_cube(Iprime)), (sig_out_prime,)
         )
     return out
-
-
-def _inv_sqrt_vol(cube: DyadicCube) -> Scalar:
-    from .scalar import sqrt2_pow
-
-    return sqrt2_pow(cube.level * cube.d)
 
 
 def commutator_apply(b: StepFunction, ts: TensorShift, f: StepFunction) -> StepFunction:
@@ -213,7 +197,10 @@ def commutator_apply(b: StepFunction, ts: TensorShift, f: StepFunction) -> StepF
         if s == 0:
             return b * g
         q = slot(s - 1)
-        return rec(s - 1, tensor_apply(q, g)) - tensor_apply(q, rec(s - 1, g))
+        return (
+            rec(s - 1, tensor_apply_counting(q, g)[0])
+            - tensor_apply_counting(q, rec(s - 1, g))[0]
+        )
 
     return rec(grid.t, f)
 
@@ -274,15 +261,6 @@ def one_parameter_terms(smap: ShiftMap, d: int) -> list[OneParamTerm]:
     return terms
 
 
-def _sign_on_child(cube: DyadicCube, eps, smap: ShiftMap) -> int:
-    child = smap.sigma_cube(cube)
-    sign = 1
-    for e, p in zip(eps, child.pos):
-        if e == 0 and (p & 1) == 0:
-            sign = -sign
-    return sign
-
-
 class _ChildSignRule:
     """Per-rectangle sign: product of symbol-Haar signs on shifted children."""
 
@@ -292,7 +270,9 @@ class _ChildSignRule:
     def __call__(self, rect: DyadicRectangle) -> int:
         sign = 1
         for s, eps, smap in self.entries:
-            sign *= _sign_on_child(rect.factors[s], eps, smap)
+            cube = rect.factors[s]
+            child = smap.sigma_cube(cube)
+            sign *= cube.haar_sign(eps, child.level, child.pos)
         return sign
 
 
@@ -315,10 +295,10 @@ class DecompositionTerm:
         return "mixed"
 
     def apply(self, b: StepFunction, f: StepFunction) -> StepFunction:
-        g = f if self.pre is None else tensor_apply(self.pre, f)
+        g = f if self.pre is None else tensor_apply_counting(self.pre, f)[0]
         h = apply_paraproduct(self.para, b, g)
         if self.post is not None:
-            h = tensor_apply(self.post, h)
+            h = tensor_apply_counting(self.post, h)[0]
         return h if self.coeff == 1 else h * Scalar(self.coeff)
 
     def descriptor(self) -> tuple:
@@ -343,13 +323,27 @@ class Decomposition:
     terms: tuple
 
     def apply(self, b: StepFunction, f: StepFunction) -> StepFunction:
-        out = StepFunction.zero(self.grid)
+        """The sum of ``term.apply(b, f)`` over all terms, with each distinct
+        pre-shift of ``f`` computed once and each distinct post-shift applied
+        once, to the sum of its terms' paraproducts (shifts are linear)."""
+        pre_images = {None: f}
+        post_sums: dict = {}
         for term in self.terms:
-            out = out + term.apply(b, f)
+            g = pre_images.get(term.pre)
+            if g is None:
+                g = pre_images[term.pre] = tensor_apply_counting(term.pre, f)[0]
+            h = apply_paraproduct(term.para, b, g)
+            if term.coeff != 1:
+                h = h * Scalar(term.coeff)
+            acc = post_sums.get(term.post)
+            post_sums[term.post] = h if acc is None else acc + h
+        out = StepFunction.zero(self.grid)
+        for post, h in post_sums.items():
+            out = out + (h if post is None else tensor_apply_counting(post, h)[0])
         return out
 
     def tensor_shift(self) -> TensorShift:
-        return TensorShift.of_maps(self.maps)
+        return TensorShift(self.maps)
 
 
 def decompose(maps, grid: GridSpec) -> Decomposition:
@@ -380,11 +374,11 @@ def decompose(maps, grid: GridSpec) -> Decomposition:
         ]
         signs = _ChildSignRule(sign_entries) if sign_entries else None
         pre_parts = [
-            ShiftOperator.from_map(maps[s]) if t.position == "pre" else None
+            maps[s] if t.position == "pre" else None
             for s, t in enumerate(combo)
         ]
         post_parts = [
-            ShiftOperator.from_map(maps[s]) if t.position == "post" else None
+            maps[s] if t.position == "post" else None
             for s, t in enumerate(combo)
         ]
         pre = TensorShift(tuple(pre_parts)) if any(p is not None for p in pre_parts) else None

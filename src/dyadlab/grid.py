@@ -25,7 +25,6 @@ __all__ = [
     "DyadicCube",
     "DyadicRectangle",
     "GridSpec",
-    "children",
     "enumerate_rectangles",
     "strict_signatures",
     "all_ones",
@@ -117,6 +116,21 @@ class DyadicCube:
         shift = other.level - self.level
         return all((q >> shift) == p for p, q in zip(self.pos, other.pos))
 
+    def haar_sign(self, sig, level: int, pos) -> int:
+        """Sign (+1 or -1) of the Haar function on this cube with signature
+        ``sig`` over the subcube at ``level``, ``pos``.
+
+        The subcube must lie inside this cube, strictly unless ``sig`` is
+        all-ones.  Each axis whose signature bit is 0 flips the sign when
+        the subcube sits in the lower half along that axis.
+        """
+        shift = level - self.level - 1
+        sign = 1
+        for eps, p in zip(sig, pos):
+            if eps == 0 and ((p >> shift) & 1) == 0:
+                sign = -sign
+        return sign
+
     def contains_cell(self, cell: tuple[int, ...], depth: int) -> bool:
         """Containment of a finest cell given by its level-``depth`` position."""
         shift = depth - self.level
@@ -135,16 +149,6 @@ class DyadicCube:
 
 def unit_cube(d: int) -> DyadicCube:
     return DyadicCube(d, 0, (0,) * d)
-
-
-def children(c: DyadicCube, max_level: int | None = None) -> list[DyadicCube]:
-    """Dyadic children of ``c``: 2**d disjoint cubes partitioning it.
-
-    With ``max_level`` given, refuses to descend past that grid depth.
-    """
-    if max_level is not None and c.level + 1 > max_level:
-        raise ValueError("children would overflow the grid depth")
-    return c.children()
 
 
 @dataclass(frozen=True, order=True)

@@ -65,8 +65,6 @@ __all__ = [
     "synthesize_patterns",
     "square_function",
     "square_function_sq",
-    "lp_norm",
-    "l2_norm_sq",
     "haar_basis_keys",
     "mean_key",
     "random_haar_function",
@@ -79,19 +77,10 @@ __all__ = [
 def _cube_haar_value(cube: DyadicCube, sig, cell_part, depth: int) -> Scalar:
     """Value of the one-parameter Haar function at a finest cell.
 
-    The cell must lie inside the cube.  For a strict signature the sign on
-    each axis flips on the lower half; the magnitude is |Q|**(-1/2).
+    The cell must lie inside the cube; the magnitude is |Q|**(-1/2).
     """
-    k = cube.level
-    mag = sqrt2_pow(k * cube.d)
-    if not is_strict(sig):
-        return mag
-    shift = depth - k - 1
-    sign = 1
-    for eps, p in zip(sig, cell_part):
-        if eps == 0 and ((p >> shift) & 1) == 0:
-            sign = -sign
-    return mag if sign > 0 else -mag
+    mag = sqrt2_pow(cube.level * cube.d)
+    return mag if cube.haar_sign(sig, depth, cell_part) > 0 else -mag
 
 
 def _validate_key(grid: GridSpec, rect: DyadicRectangle, vecsig) -> None:
@@ -470,7 +459,7 @@ def _mean_slots(dims) -> tuple:
     return tuple((0, (0,) * d, all_ones(d)) for d in dims)
 
 
-def _times_inv_sqrt_volume(slots, dims, m: int, n: int, e: int):
+def _times_rsqrt_volume(slots, dims, m: int, n: int, e: int):
     """``(m + n*sqrt(2)) / 2**e`` times ``|R|**(-1/2) = sqrt(2)**L`` for the
     rectangle of ``slots``, ``L = sum(level * d)``: a swap of the two parts
     when ``L`` is odd, a shift of the denominator by ``L // 2``."""
@@ -490,7 +479,7 @@ def analyze(f: StepFunction) -> HaarExpansion:
     mean = ZERO
     coeffs: dict = {}
     for slots, x in sums.items():
-        c = Scalar(*_times_inv_sqrt_volume(slots, dims, *_unpack(x, bits), e))
+        c = Scalar(*_times_rsqrt_volume(slots, dims, *_unpack(x, bits), e))
         if slots == mean_slots:
             mean = c
             continue
@@ -530,7 +519,7 @@ def synthesize(e: HaarExpansion) -> StepFunction:
             (cube.level, cube.pos, sig) for cube, sig in zip(rect.factors, vecsig)
         )
         # h = H * |R|**(-1/2): the pattern sum of each coefficient
-        items.append((slots, *_times_inv_sqrt_volume(slots, grid.dims, c.m, c.n, c.e)))
+        items.append((slots, *_times_rsqrt_volume(slots, grid.dims, c.m, c.n, c.e)))
     return _inverse(grid, items)
 
 
@@ -561,14 +550,6 @@ def square_function(f: StepFunction) -> np.ndarray:
     """Float square function values in canonical cell order."""
     sq = square_function_sq(f)
     return np.sqrt(sq.to_array())
-
-
-def lp_norm(f: StepFunction, p) -> float:
-    return f.lp_norm(p)
-
-
-def l2_norm_sq(f: StepFunction) -> Scalar:
-    return f.l2_norm_sq()
 
 
 # -- bases and random functions ----------------------------------------------------

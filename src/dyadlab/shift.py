@@ -8,8 +8,10 @@ function is annihilated).  The induced operator moves each strict Haar
 coefficient to the shifted slot and kills the constant component; it is
 an exact L2 contraction.
 
-Tensor shifts act factor-wise on product grids; ``None`` in a slot means
-the identity on that parameter.
+A :class:`TensorShift` holds one shift map per parameter, or ``None`` for
+the identity on that parameter.  :func:`tensor_apply_counting` is the one
+way to apply it: analyze, move coefficients, synthesize, and report how
+many coefficients the grid depth cut off.
 """
 
 from __future__ import annotations
@@ -27,11 +29,7 @@ from .stepfn import StepFunction
 
 __all__ = [
     "ShiftMap",
-    "ShiftOperator",
     "TensorShift",
-    "apply_shift",
-    "apply_shift_counting",
-    "tensor_apply",
     "tensor_apply_counting",
     "matrix_in_haar_basis",
     "matrix_to_float",
@@ -149,24 +147,8 @@ def _normalize_sig_rule(rule, d: int) -> tuple:
 
 
 @dataclass(frozen=True)
-class ShiftOperator:
-    """Linear operator induced by a shift map on one parameter."""
-
-    d: int
-    smap: ShiftMap
-
-    def __post_init__(self):
-        if self.smap.d != self.d:
-            raise ValueError("shift map dimension mismatch")
-
-    @classmethod
-    def from_map(cls, smap: ShiftMap) -> "ShiftOperator":
-        return cls(smap.d, smap)
-
-
-@dataclass(frozen=True)
 class TensorShift:
-    """Factor-wise shifts; ``None`` slots act as the identity."""
+    """One :class:`ShiftMap` per parameter; ``None`` slots act as the identity."""
 
     parts: tuple
 
@@ -175,11 +157,7 @@ class TensorShift:
 
     @classmethod
     def single(cls, smap: ShiftMap) -> "TensorShift":
-        return cls((ShiftOperator.from_map(smap),))
-
-    @classmethod
-    def of_maps(cls, maps) -> "TensorShift":
-        return cls(tuple(None if m is None else ShiftOperator.from_map(m) for m in maps))
+        return cls((smap,))
 
     @classmethod
     def identity(cls, t: int) -> "TensorShift":
@@ -192,12 +170,10 @@ class TensorShift:
     def active_slots(self) -> list[int]:
         return [s for s, q in enumerate(self.parts) if q is not None]
 
-    def apply(self, f: StepFunction) -> StepFunction:
-        return tensor_apply(self, f)
-
 
 def tensor_apply_counting(ts: TensorShift, f: StepFunction):
-    """Apply a tensor shift; also count coefficients lost to grid depth.
+    """Apply a tensor shift: ``(shifted step function, truncated)``, where
+    ``truncated`` counts the coefficients lost to grid depth.
 
     Signature kills are semantic zeros, not truncations, and are not
     counted.  The constant slot of every shifted parameter is annihilated.
@@ -220,11 +196,11 @@ def tensor_apply_counting(ts: TensorShift, f: StepFunction):
             if not is_strict(sig):
                 keep = False  # constant component of parameter s
                 break
-            nsig = ts.parts[s].smap.sigma_sig(sig)
+            nsig = ts.parts[s].sigma_sig(sig)
             if nsig is None:
                 keep = False
                 break
-            ncube = ts.parts[s].smap.sigma_cube(cubes[s])
+            ncube = ts.parts[s].sigma_cube(cubes[s])
             if ncube.level > grid.depth[s] - 1:
                 truncated += 1
                 keep = False
@@ -239,36 +215,20 @@ def tensor_apply_counting(ts: TensorShift, f: StepFunction):
     return synthesize(HaarExpansion(grid, ZERO, out)), truncated
 
 
-def tensor_apply(ts: TensorShift, f: StepFunction) -> StepFunction:
-    return tensor_apply_counting(ts, f)[0]
-
-
-def apply_shift_counting(q, f: StepFunction):
-    """One-parameter shift application with a truncation count."""
-    smap = q.smap if isinstance(q, ShiftOperator) else q
-    return tensor_apply_counting(TensorShift.single(smap), f)
-
-
-def apply_shift(q, f: StepFunction) -> StepFunction:
-    return apply_shift_counting(q, f)[0]
-
-
 def matrix_in_haar_basis(op, grid: GridSpec, cap: int = 4096):
     """Dense exact matrix of an operator in the ordered Haar basis.
 
-    ``op`` is a :class:`TensorShift` or any callable taking and returning
-    step functions on ``grid``.  Column ``j`` holds the coefficients of
-    the image of the ``j``-th basis element; row/column 0 is the constant
-    slot.
+    ``op`` is a callable taking and returning step functions on ``grid``.
+    Column ``j`` holds the coefficients of the image of the ``j``-th basis
+    element; row/column 0 is the constant slot.
     """
     keys = haar_basis_keys(grid)
     size = len(keys)
     if size > cap:
         raise CapExceededError(f"basis size {size} exceeds cap {cap}")
-    apply = op.apply if isinstance(op, TensorShift) else op
     cols = []
     for key in keys:
-        g = apply(basis_function(grid, key))
+        g = op(basis_function(grid, key))
         e = analyze(g)
         col = [e.mean] + [e.get(k) for k in keys[1:]]
         cols.append(col)

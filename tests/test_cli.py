@@ -251,6 +251,20 @@ def test_verify_decomposition_rejects_untyped_lists(tmp_path, capsys, bad):
     assert "must be a list of integers" in capsys.readouterr().err
 
 
+def test_opnorm_rejects_string_depths(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path, {"schema_version": 1, "d": 1, "depths": ["3"], "seeds": [0]}
+    )
+    assert run(["opnorm", "--config", cfg]) == cli.EXIT_CONFIG
+    assert "must be a list of integers" in capsys.readouterr().err
+
+
+def test_verify_cases_rejects_bool_dimension(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"schema_version": 1, "d": True, "depth": 2})
+    assert run(["verify-cases", "--config", cfg]) == cli.EXIT_CONFIG
+    assert "must be an integer" in capsys.readouterr().err
+
+
 def _stalled_power_iteration(monkeypatch):
     import dyadlab.commutator as comm
 

@@ -7,7 +7,6 @@ from dyadlab.grid import (
     DyadicCube,
     DyadicRectangle,
     GridSpec,
-    children,
     enumerate_rectangles,
     strict_signatures,
     all_ones,
@@ -18,12 +17,12 @@ from dyadlab.grid import (
 
 
 def test_children_of_unit_interval():
-    kids = children(unit_cube(1))
+    kids = unit_cube(1).children()
     assert [(c.level, c.pos) for c in kids] == [(1, (0,)), (1, (1,))]
 
 
 def test_children_of_unit_square():
-    kids = children(unit_cube(2))
+    kids = unit_cube(2).children()
     assert len(kids) == 4
     assert {c.pos for c in kids} == {(0, 0), (1, 0), (0, 1), (1, 1)}
 
@@ -55,13 +54,6 @@ def test_cube_validation():
         DyadicCube(1, -1, (0,))
     with pytest.raises(ValueError):
         unit_cube(1).parent()
-
-
-def test_children_depth_bound():
-    cube = DyadicCube(1, 2, (3,))
-    assert len(children(cube, max_level=3)) == 2
-    with pytest.raises(ValueError):
-        children(cube, max_level=2)
 
 
 def test_signatures():

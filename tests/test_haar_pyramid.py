@@ -3,7 +3,8 @@
 ``haar_coefficient`` and ``haar_cell_value`` define the Haar system cell
 by cell; ``analyze``, ``synthesize`` and ``haar_pattern_sums`` must agree
 with them exactly on every grid with at most two parameters, dimensions
-up to 3, depths 0-3 and at most 64 cells.
+up to 3, depths 0-3 and at most 64 cells.  ``DyadicCube.haar_sign`` must
+give the sign of both on every cell of a subcube.
 """
 
 import itertools
@@ -161,6 +162,40 @@ def test_synthesize_rejects_strict_key_at_finest_level():
     rect = DyadicRectangle((DyadicCube(1, 2, (1,)),))
     with pytest.raises(ValueError):
         synthesize(HaarExpansion(grid, 0, {(rect, ((0,),)): ONE}))
+
+
+# -- DyadicCube.haar_sign against the Haar function's values --------------------
+
+
+@st.composite
+def cube_and_subcube(draw):
+    """A one-parameter grid, a cube above its finest level, any signature,
+    and a subcube strictly inside the cube."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, MAX_CELL_BITS // d))
+    k = draw(st.integers(0, n - 1))
+    cube = DyadicCube(d, k, tuple(draw(st.integers(0, (1 << k) - 1)) for _ in range(d)))
+    level = draw(st.integers(k + 1, n))
+    below = (1 << (level - k)) - 1
+    pos = tuple((p << (level - k)) + draw(st.integers(0, below)) for p in cube.pos)
+    sig = draw(st.sampled_from(list(itertools.product((0, 1), repeat=d))))
+    return GridSpec((d,), (n,)), cube, sig, level, pos
+
+
+def _sign(x: Scalar) -> int:
+    return (x > 0) - (x < 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cube_and_subcube())
+def test_haar_sign_is_the_sign_on_every_cell_of_the_subcube(case):
+    grid, cube, sig, level, pos = case
+    rect = DyadicRectangle((cube,))
+    pyramid = synthesize(HaarExpansion(grid, 0, {(rect, (sig,)): ONE}))
+    sign = cube.haar_sign(sig, level, pos)
+    for cell in DyadicCube(cube.d, level, pos).cell_positions(grid.depth[0]):
+        assert _sign(haar_cell_value(grid, rect, (sig,), (cell,))) == sign
+        assert _sign(pyramid.value_at((cell,))) == sign
 
 
 # -- haar_basis_keys against the per-cell combo-table enumeration ---------------

@@ -1,15 +1,7 @@
 import numpy as np
 import pytest
 
-from dyadlab._kernels import (
-    BACKEND,
-    _power_iter_np,
-    _zeta_sos_loop,
-    _zeta_sos_np,
-    popcounts,
-    power_iteration,
-    zeta_sos,
-)
+from dyadlab._kernels import _zeta_sos_loop, popcounts, power_iteration, zeta_sos
 
 
 def brute_subset_sums(seed_a, seed_b, nbits):
@@ -24,10 +16,6 @@ def brute_subset_sums(seed_a, seed_b, nbits):
     return a, b
 
 
-def test_backend_selected():
-    assert BACKEND in ("numba", "numpy")
-
-
 @pytest.mark.parametrize("nbits", [1, 3, 6])
 def test_zeta_variants_agree_with_bruteforce(nbits):
     rng = np.random.default_rng(nbits)
@@ -35,10 +23,6 @@ def test_zeta_variants_agree_with_bruteforce(nbits):
     seed_a = rng.integers(-50, 50, size=n).astype(np.int64)
     seed_b = rng.integers(-50, 50, size=n).astype(np.int64)
     want_a, want_b = brute_subset_sums(list(seed_a), list(seed_b), nbits)
-
-    a1, b1 = seed_a.copy(), seed_b.copy()
-    _zeta_sos_np(a1, b1, nbits)
-    assert list(a1) == want_a and list(b1) == want_b
 
     a2, b2 = list(seed_a), list(seed_b)
     _zeta_sos_loop(a2, b2, nbits)
@@ -64,8 +48,6 @@ def test_power_iteration_matches_svd():
         got, iters, conv = power_iteration(mat, v0, 1e-12, 10000)
         assert conv
         assert got == pytest.approx(want, rel=1e-8)
-        got_np, _, conv_np = _power_iter_np(mat, v0, 1e-12, 10000)
-        assert conv_np and got_np == pytest.approx(want, rel=1e-8)
 
 
 def test_power_iteration_zero_matrix():

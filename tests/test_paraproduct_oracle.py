@@ -3,7 +3,9 @@
 ``cell_space_paraproduct`` is the definition: for every rectangle, two
 per-cell Haar coefficients, their product over ``sqrt(|R|)``, and the
 output Haar function written back cell by cell.  ``apply_paraproduct``
-must give the same step function exactly.
+must give the same step function exactly.  On the same grids,
+``Decomposition.apply``, which groups terms by their shifts, must equal
+the sum of the per-term definition ``DecompositionTerm.apply``.
 """
 
 import itertools
@@ -62,15 +64,15 @@ def _inputs(grid, seed):
     return b, f
 
 
-@pytest.mark.parametrize(
-    "dims,depth,cube_rule",
-    [
-        ((1,), (4,), "first-child"),
-        ((2,), (2,), "rotating"),
-        ((1, 1), (3, 3), "rotating"),
-        ((2, 1), (2, 2), "first-child"),
-    ],
-)
+DECOMPOSITION_GRIDS = [
+    ((1,), (4,), "first-child"),
+    ((2,), (2,), "rotating"),
+    ((1, 1), (3, 3), "rotating"),
+    ((2, 1), (2, 2), "first-child"),
+]
+
+
+@pytest.mark.parametrize("dims,depth,cube_rule", DECOMPOSITION_GRIDS)
 def test_every_decomposition_term_matches_cell_space(dims, depth, cube_rule):
     grid = GridSpec(dims, depth)
     D = comm.decompose([ShiftMap.preset(d, cube_rule) for d in dims], grid)
@@ -79,6 +81,18 @@ def test_every_decomposition_term_matches_cell_space(dims, depth, cube_rule):
         assert apply_paraproduct(term.para, b, f) == cell_space_paraproduct(
             term.para, b, f
         ), term.descriptor()
+
+
+@pytest.mark.parametrize("dims,depth,cube_rule", DECOMPOSITION_GRIDS)
+def test_grouped_decomposition_equals_sum_of_terms(dims, depth, cube_rule):
+    grid = GridSpec(dims, depth)
+    D = comm.decompose([ShiftMap.preset(d, cube_rule) for d in dims], grid)
+    b, f = _inputs(grid, sum(depth))
+    want = StepFunction.zero(grid)
+    for term in D.terms:
+        want = want + term.apply(b, f)
+    assert not want.is_zero
+    assert D.apply(b, f) == want
 
 
 @pytest.mark.parametrize("dims,depth", [((1, 1), (2, 2)), ((2,), (2,))])

@@ -12,7 +12,7 @@ from dyadlab.riesz import (
     span_residual,
 )
 from dyadlab.scalar import Scalar
-from dyadlab.shift import ShiftMap, TensorShift, tensor_apply
+from dyadlab.shift import ShiftMap, TensorShift, tensor_apply_counting
 from dyadlab.stepfn import StepFunction
 
 
@@ -88,7 +88,7 @@ def test_sample_matches_exact_shift_module():
     cells = list(g.cells())
     exact = np.zeros((n, n))
     for j, cj in enumerate(cells):
-        img = tensor_apply(ts, StepFunction(g, {cj: Scalar(1)}))
+        img, _ = tensor_apply_counting(ts, StepFunction(g, {cj: Scalar(1)}))
         for i, ci in enumerate(cells):
             exact[i, j] = float(img.value_at(ci))
     lattice = sample_shift_matrix(canonical_sample(n))

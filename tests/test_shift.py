@@ -20,12 +20,9 @@ from dyadlab.haar import (
 from dyadlab.scalar import ZERO, Scalar
 from dyadlab.shift import (
     ShiftMap,
-    ShiftOperator,
     TensorShift,
-    apply_shift,
-    apply_shift_counting,
     matrix_in_haar_basis,
-    tensor_apply,
+    tensor_apply_counting,
 )
 from dyadlab.stepfn import StepFunction
 
@@ -66,14 +63,15 @@ def test_shift_moves_basis_to_basis():
     grid = GridSpec((1,), (3,))
     smap = ShiftMap.preset(1, "first-child")
     h = haar_function(grid, interval(0, 0), ((0,),))
-    out = apply_shift(smap, h)
+    out, _ = tensor_apply_counting(TensorShift.single(smap), h)
     assert out == haar_function(grid, interval(1, 0), ((0,),))
 
 
 def test_shift_annihilates_constants():
     grid = GridSpec((1,), (2,))
     smap = ShiftMap.preset(1, "first-child")
-    assert apply_shift(smap, StepFunction.constant(grid, Scalar(7))).is_zero
+    const = StepFunction.constant(grid, Scalar(7))
+    assert tensor_apply_counting(TensorShift.single(smap), const)[0].is_zero
 
 
 def test_basis_to_basis_exhaustive():
@@ -81,7 +79,9 @@ def test_basis_to_basis_exhaustive():
     smap = ShiftMap.preset(2, "rotating", "cyclic")
     keys = haar_basis_keys(grid)
     for key in keys[1:]:
-        out, _ = apply_shift_counting(smap, basis_function(grid, key))
+        out, _ = tensor_apply_counting(
+            TensorShift.single(smap), basis_function(grid, key)
+        )
         if out.is_zero:
             continue
         e = analyze(out)
@@ -95,7 +95,7 @@ def test_truncation_counted():
     grid = GridSpec((1,), (1,))
     smap = ShiftMap.preset(1, "first-child")
     h = haar_function(grid, interval(0, 0), ((0,),))
-    out, truncated = apply_shift_counting(smap, h)
+    out, truncated = tensor_apply_counting(TensorShift.single(smap), h)
     assert truncated == 1 and out.is_zero
 
 
@@ -104,7 +104,7 @@ def test_contraction_exact_exhaustive_depth3():
     smap = ShiftMap.preset(1, "rotating")
     for key in haar_basis_keys(grid):
         f = basis_function(grid, key)
-        qf = apply_shift(smap, f)
+        qf, _ = tensor_apply_counting(TensorShift.single(smap), f)
         assert qf.l2_norm_sq() <= f.l2_norm_sq()
 
 
@@ -114,7 +114,7 @@ def test_contraction_random_and_equality_condition():
     smap = ShiftMap.preset(1, "first-child")
     for _ in range(25):
         f = random_haar_function(grid, rng, max_levels=(2,))
-        qf, truncated = apply_shift_counting(smap, f)
+        qf, truncated = tensor_apply_counting(TensorShift.single(smap), f)
         assert truncated == 0
         # no kills, no truncation: exact isometry on the strict part
         assert qf.l2_norm_sq() == analyze(f).strict_sq_sum()
@@ -127,7 +127,7 @@ def test_contraction_with_kill():
     smap = ShiftMap.preset(2, "first-child", {"kill": [1, 0]})
     for _ in range(10):
         f = random_haar_function(grid, rng)
-        qf = apply_shift(smap, f)
+        qf, _ = tensor_apply_counting(TensorShift.single(smap), f)
         assert qf.l2_norm_sq() <= f.l2_norm_sq()
 
 
@@ -136,42 +136,46 @@ def test_tensor_identity_slots():
     ts = TensorShift.identity(2)
     rng = np.random.default_rng(4)
     f = random_haar_function(grid, rng, include_mean=True)
-    assert tensor_apply(ts, f) == f
+    assert tensor_apply_counting(ts, f)[0] == f
 
 
 def test_tensor_single_slot_action():
     grid = GridSpec((1, 1), (2, 2))
     smap = ShiftMap.preset(1, "first-child")
-    ts = TensorShift((ShiftOperator.from_map(smap), None))
+    ts = TensorShift((smap, None))
     rect = DyadicRectangle((DyadicCube(1, 0, (0,)), DyadicCube(1, 1, (1,))))
     h = haar_function(grid, rect, ((0,), (0,)))
-    out = tensor_apply(ts, h)
+    out, _ = tensor_apply_counting(ts, h)
     expected_rect = DyadicRectangle((DyadicCube(1, 1, (0,)), DyadicCube(1, 1, (1,))))
     assert out == haar_function(grid, expected_rect, ((0,), (0,)))
 
 
 def test_tensor_contraction_exhaustive_depth22():
     grid = GridSpec((1, 1), (2, 2))
-    ts = TensorShift.of_maps(
+    ts = TensorShift(
         [ShiftMap.preset(1, "first-child"), ShiftMap.preset(1, "rotating")]
     )
     for key in haar_basis_keys(grid):
         f = basis_function(grid, key)
-        qf = tensor_apply(ts, f)
+        qf, _ = tensor_apply_counting(ts, f)
         assert qf.l2_norm_sq() <= f.l2_norm_sq()
 
 
 def test_matrix_identity_and_sparsity():
     grid = GridSpec((1,), (2,))
     size = grid.cell_count
-    ident = matrix_in_haar_basis(TensorShift.identity(1), grid)
+    ident = matrix_in_haar_basis(
+        lambda f: tensor_apply_counting(TensorShift.identity(1), f)[0], grid
+    )
     assert all(
         ident[i][j] == (Scalar(1) if i == j else ZERO)
         for i in range(size)
         for j in range(size)
     )
     smap = ShiftMap.preset(1, "first-child")
-    mat = matrix_in_haar_basis(TensorShift.single(smap), grid)
+    mat = matrix_in_haar_basis(
+        lambda f: tensor_apply_counting(TensorShift.single(smap), f)[0], grid
+    )
     for j in range(size):
         col = [mat[i][j] for i in range(size)]
         nonzero = [c for c in col if not c.is_zero]
@@ -182,13 +186,15 @@ def test_matrix_identity_and_sparsity():
 def test_matrix_cap():
     grid = GridSpec((1,), (3,))
     with pytest.raises(CapExceededError):
-        matrix_in_haar_basis(TensorShift.identity(1), grid, cap=4)
+        matrix_in_haar_basis(
+            lambda f: tensor_apply_counting(TensorShift.identity(1), f)[0], grid, cap=4
+        )
 
 
 def test_duality_bound_random_pairs():
     # |<Qf, g>| against the square-function pairing, float check
     grid = GridSpec((1, 1), (2, 2))
-    ts = TensorShift.of_maps(
+    ts = TensorShift(
         [ShiftMap.preset(1, "first-child"), ShiftMap.preset(1, "first-child")]
     )
     rng = np.random.default_rng(50)
@@ -196,7 +202,7 @@ def test_duality_bound_random_pairs():
     for _ in range(50):
         f = random_haar_function(grid, rng)
         g = random_haar_function(grid, rng)
-        qf = tensor_apply(ts, f)
+        qf, _ = tensor_apply_counting(ts, f)
         lhs = float((qf * g).integral())
         sf = np.sqrt(square_function_sq(f).to_array().astype(float))
         sg = np.sqrt(square_function_sq(g).to_array().astype(float))
