@@ -1,10 +1,14 @@
 """Batch front-end: verification suites and experiments driven by JSON configs.
 
 Exit codes: 0 success, 1 verification failure, 2 config error, 3 resource
-cap exceeded.  Configs carry ``schema_version: 1`` and are validated
-fail-closed (unknown keys are rejected).  Reports are written as CSV with
-a header row plus a JSON mirror; identical configs and seeds reproduce
-identical files.
+cap exceeded.  Configs carry ``schema_version: 1``.  Each command declares
+its config keys once, as typed and bounded :class:`Field` entries in
+``_SCHEMAS``; a config is resolved against that table fail-closed (unknown
+keys are rejected) before anything is computed, and the result is the plan
+that ``--dry-run`` prints and every report records.  Exit 2 is for config
+errors only: an exception raised while computing surfaces as a traceback.
+Reports are written as CSV with a header row plus a JSON mirror; identical
+configs and seeds reproduce identical files.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import itertools
 import json
 import sys
 from pathlib import Path
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -22,9 +27,9 @@ from . import commutator as comm
 from . import paraproduct as para
 from . import riesz as rz
 from .errors import CapExceededError
-from .grid import DyadicCube, DyadicRectangle, GridSpec, strict_signatures
+from .grid import DyadicCube, DyadicRectangle, GridSpec, is_strict, strict_signatures
 from .haar import haar_function, random_haar_function
-from .shift import ShiftMap, TensorShift
+from .shift import CUBE_PRESETS, SIG_PRESETS, ShiftMap, TensorShift
 from .stepfn import StepFunction
 
 EXIT_OK = 0
@@ -32,65 +37,205 @@ EXIT_VERIFY = 1
 EXIT_CONFIG = 2
 EXIT_CAP = 3
 
-_KNOWN_KEYS = {
-    "verify-cases": {"schema_version", "d", "depth", "cube_rules", "sig_rules"},
-    "verify-decomposition": {
-        "schema_version",
-        "dims",
-        "depths",
-        "seeds",
-        "cube_rules",
-        "sig_rules",
-        "max_levels",
-    },
-    "bmo": {"schema_version", "dims", "depths", "seeds", "modes", "symbol"},
-    "opnorm": {
-        "schema_version",
-        "d",
-        "depths",
-        "seeds",
-        "cube_rule",
-        "sig_rule",
-        "symbol",
-        "method",
-        "cap",
-    },
-    "ratio": {
-        "schema_version",
-        "d",
-        "depths",
-        "seeds",
-        "cube_rule",
-        "sig_rule",
-        "bmo_mode",
-        "method",
-    },
-    "riesz": {"schema_version", "d", "n", "samples", "seeds", "component", "gnuplot"},
-}
-
 
 class ConfigError(Exception):
     pass
 
 
-class VerificationFailure(Exception):
-    pass
+# -- the schema ------------------------------------------------------------------------
+#
+# A field's type and its bound are both (predicate, rule) pairs.  The type
+# predicate sees the raw JSON value; booleans never pass as integers.  The
+# bound predicate sees the typed value and the fields resolved before it.
 
 
-def _load_config(path: str, command: str) -> dict:
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_ints(v) -> bool:
+    return isinstance(v, list) and all(map(_is_int, v))
+
+
+def _is_symbol(v) -> bool:
+    """A named symbol (null means random), or one tensor Haar function
+    ``{"rect_levels": [k, ...], "rect_pos": [[p, ...], ...], "sigs": [[bit, ...], ...]}``
+    with one entry per parameter."""
+    if v is None or v in ("random", "constant", "single-haar"):
+        return True
+    if not isinstance(v, dict) or set(v) != {"rect_levels", "rect_pos", "sigs"}:
+        return False
+    levels, pos, sigs = v["rect_levels"], v["rect_pos"], v["sigs"]
+    return (
+        _is_ints(levels)
+        and isinstance(pos, list)
+        and isinstance(sigs, list)
+        and len(levels) == len(pos) == len(sigs)
+        and all(map(_is_ints, pos + sigs))
+        and all(bit in (0, 1) for sig in sigs for bit in sig)
+    )
+
+
+_INT = (_is_int, "an integer")
+_INTS = (_is_ints, "a list of integers")
+_BOOL = (lambda v: isinstance(v, bool), "true or false")
+_SYMBOL = (_is_symbol, "random, constant, single-haar or {rect_levels, rect_pos, sigs}")
+
+
+def _one_of(choices):
+    return (lambda v: isinstance(v, str) and v in choices, f"one of {list(choices)}")
+
+
+def _list_of(choices):
+    one = _one_of(choices)[0]
+    return (lambda v: isinstance(v, list) and all(map(one, v)), f"a list of {list(choices)}")
+
+
+def _at_least(lo):
+    return (lambda v, c: min(v if isinstance(v, list) else [v], default=lo) >= lo, f"be >= {lo}")
+
+
+def _per_dim(lo=None):
+    """One entry per entry of ``dims``, each at least ``lo`` if given."""
+    return (
+        lambda v, c: len(v) == len(c["dims"]) and (lo is None or min(v, default=lo) >= lo),
+        "have one entry per entry of dims" + ("" if lo is None else f", each >= {lo}"),
+    )
+
+
+_DIMS = (lambda v, c: bool(v) and min(v) >= 1, "be non-empty, each >= 1")
+# the truncation horizon: some decomposition terms shift twice
+_HORIZON = (
+    lambda v, c: len(v) == len(c["depths"]) and all(m <= n - 2 for m, n in zip(v, c["depths"])),
+    "have one entry per depth, each at most that depth - 2 "
+    "(random inputs stay two levels clear of the finest scale)",
+)
+
+
+def _symbol_fits(symbol, c) -> bool:
+    """The symbol resolves on every grid of the run: each Haar factor has
+    its parameter's dimension and lies in the unit cube, strict factors
+    strictly above the finest level and the others at most on it."""
+    if "dims" in c:
+        grids = [(c["dims"], c["depths"])]
+    else:
+        grids = [((c["d"],), (n,)) for n in c["depths"]]
+    for dims, depths in grids:
+        if symbol == "single-haar" and 0 in depths:
+            return False
+        if isinstance(symbol, dict):
+            parts = zip(dims, depths, symbol["rect_levels"], symbol["rect_pos"], symbol["sigs"])
+            if len(dims) != len(symbol["sigs"]) or not all(
+                len(pos) == len(sig) == d
+                and 0 <= level <= (n - 1 if is_strict(sig) else n)
+                and all(0 <= p < 1 << level for p in pos)
+                for d, n, level, pos, sig in parts
+            ):
+                return False
+    return True
+
+
+_FITS = (_symbol_fits, "be resolvable on every grid of the run")
+
+
+def _max_pair_depth(c):
+    return 4 if c["d"] == 1 else 2
+
+
+class Field(NamedTuple):
+    """One plan entry: its type, default and bound.
+
+    ``default`` is a value or a function of the fields resolved before it.
+    A field of type ``None`` is derived: the config cannot set it, and
+    ``default`` computes it.  ``key`` is the config key when it differs from
+    the plan key; ``plan=False`` fields go to the command but not the plan.
+    """
+
+    name: str
+    kind: tuple | None
+    default: Any
+    bound: tuple | None = None
+    key: str | None = None
+    plan: bool = True
+
+
+_SCHEMAS = {
+    "verify-cases": (
+        Field("d", _INT, 1, (lambda d, c: d in (1, 2), "be 1 or 2")),
+        Field("pair_depth", _INT, _max_pair_depth, key="depth", bound=(
+            lambda n, c: -1 <= n <= _max_pair_depth(c), "be from -1 to 4 (d=1) or 2 (d=2)")),
+        # headroom for second shifts of the deepest pairs
+        Field("grid_depth", None, lambda c: c["pair_depth"] + 3),
+        Field("cube_rules", _list_of(CUBE_PRESETS), ["first-child", "rotating"]),
+        Field("sig_rules", _list_of(SIG_PRESETS), ["identity"]),
+    ),
+    "verify-decomposition": (
+        Field("dims", _INTS, [1], _DIMS),
+        Field("depths", _INTS, [5], _per_dim(0)),
+        Field("seeds", _INTS, list(range(100)), _at_least(0)),
+        Field("cube_rules", _list_of(CUBE_PRESETS), lambda c: ["first-child"] * len(c["dims"]),
+              _per_dim()),
+        Field("sig_rules", _list_of(SIG_PRESETS), lambda c: ["identity"] * len(c["dims"]),
+              _per_dim()),
+        Field("max_levels", _INTS, lambda c: [n - 2 for n in c["depths"]], _HORIZON),
+    ),
+    "bmo": (
+        Field("dims", _INTS, [1, 1], _DIMS),
+        Field("depths", _INTS, [2, 2], _per_dim(0)),
+        Field("seeds", _INTS, list(range(10)), _at_least(0)),
+        Field("modes", _list_of(para.BMO_MODES), ["rectangle-sup", "greedy-union"]),
+        Field("symbol", _SYMBOL, "random", _FITS),
+    ),
+    "opnorm": (
+        Field("d", _INT, 1, _at_least(1)),
+        Field("depths", _INTS, [4], _at_least(0)),
+        Field("seeds", _INTS, [0], _at_least(0)),
+        Field("cube_rule", _one_of(CUBE_PRESETS), "first-child"),
+        Field("sig_rule", _one_of(SIG_PRESETS), "identity"),
+        Field("symbol", _SYMBOL, "random", _FITS),
+        Field("method", _one_of(comm.NORM_METHODS), "power"),
+        Field("cap", _INT, 4096, _at_least(1)),
+    ),
+    "ratio": (
+        Field("d", _INT, 1, _at_least(1)),
+        Field("depths", _INTS, [3, 4], _at_least(0)),
+        Field("seeds", _INTS, list(range(10)), _at_least(0)),
+        Field("cube_rule", _one_of(CUBE_PRESETS), "first-child"),
+        Field("sig_rule", _one_of(SIG_PRESETS), "identity"),
+        Field("bmo_mode", _one_of(para.BMO_MODES), "greedy-union"),
+        Field("method", _one_of(comm.NORM_METHODS), "power"),
+    ),
+    "riesz": (
+        Field("d", _INT, 1, _at_least(1)),
+        Field("n", _INT, 16, (lambda n, c: n >= 2 and n & (n - 1) == 0, "be a power of two >= 2")),
+        Field("samples", _INT, 64, _at_least(0)),
+        Field("seeds", _INTS, list(range(5)), _at_least(0)),
+        Field("component", _INT, 1, (lambda j, c: 0 <= j <= c["d"], "be from 0 to d")),
+        Field("gnuplot", _BOOL, False, plan=False),
+    ),
+}
+
+
+def _read_json_object(path, what: str) -> dict:
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("config must be a JSON object")
-    if cfg.get("schema_version") != 1:
-        raise ConfigError("config must declare schema_version 1")
-    unknown = set(cfg) - _KNOWN_KEYS[command]
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    return cfg
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"{what} must be a JSON object")
+    return data
+
+
+def _read_fixtures(path) -> dict:
+    """The ``single_haar`` family of a fixture file: depth -> {"ratio": r, ...}."""
+    family = _read_json_object(path, "fixtures").get("single_haar", {})
+    if not isinstance(family, dict) or not all(
+        isinstance(entry, dict) and type(entry.get("ratio")) in (int, float)
+        for entry in family.values()
+    ):
+        raise ConfigError(f"fixtures {path}: single_haar must map depths to {{ratio: number}}")
+    return family
 
 
 def _parse_seed_list(text: str):
@@ -98,6 +243,42 @@ def _parse_seed_list(text: str):
         return [int(x) for x in text.split(",") if x.strip() != ""]
     except ValueError as exc:
         raise ConfigError(f"bad --seed-list: {text!r}") from exc
+
+
+def _load_config(args) -> tuple[dict, dict]:
+    """Resolve ``args.config`` against the command's schema, fail-closed.
+
+    Returns the plan and the command's other inputs: the fields left out of
+    the plan and, for ``ratio``, the ``--fixtures`` family.  ``--seed-list``
+    replaces the config's seeds and is checked the same way.
+    """
+    raw = _read_json_object(args.config, "config")
+    version = raw.pop("schema_version", None)
+    if not _is_int(version) or version != 1:
+        raise ConfigError("config must declare schema_version 1")
+    fields = _SCHEMAS[args.command]
+    unknown = set(raw) - {f.key or f.name for f in fields if f.kind is not None}
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    if getattr(args, "seed_list", None) is not None:
+        raw["seeds"] = _parse_seed_list(args.seed_list)
+    resolved = {}
+    for f in fields:
+        key = f.key or f.name
+        value = raw.get(key, f.default)  # JSON values are never callable
+        if callable(value):
+            value = value(resolved)
+        if f.kind is not None and not f.kind[0](value):
+            raise ConfigError(f"{key} must be {f.kind[1]}, got {value!r}")
+        if f.bound is not None and not f.bound[0](value, resolved):
+            raise ConfigError(f"{key} must {f.bound[1]}, got {value!r}")
+        resolved[f.name] = sorted(value) if key == "seeds" else value
+    plan = {"command": args.command}
+    plan.update((f.name, resolved[f.name]) for f in fields if f.plan)
+    inputs = {f.name: resolved[f.name] for f in fields if not f.plan}
+    if getattr(args, "fixtures", None) is not None:
+        inputs["fixtures"] = _read_fixtures(args.fixtures)
+    return plan, inputs
 
 
 def _write_reports(out_dir, name, fieldnames, rows, meta):
@@ -115,45 +296,28 @@ def _write_reports(out_dir, name, fieldnames, rows, meta):
         json.dump({"meta": meta, "columns": fieldnames, "rows": rows}, fh, indent=1)
 
 
-def _dry_run(plan: dict) -> int:
-    print(json.dumps({"dry_run": True, "plan": plan}, indent=1, default=str))
-    return EXIT_OK
+# -- commands --------------------------------------------------------------------------
+#
+# Each command gets a resolved plan, the report directory (or None) and the
+# plan-less inputs of its schema; it only computes and reports.
 
 
-# -- commands ------------------------------------------------------------------------
+_CASE_COLUMNS = ["cube_rule", "sig_rule", "case", "I", "eps", "Iprime", "epsprime", "status",
+                 "residual_cells", "residual"]
 
 
-def cmd_verify_cases(cfg: dict, args) -> int:
-    d = _int(cfg, "d", 1)
-    depth = _int(cfg, "depth", 4 if d == 1 else 2)
-    if d == 1 and depth > 4 or d == 2 and depth > 2 or d > 2:
-        raise ConfigError("supported ranges: d=1 depth<=4, d=2 depth<=2")
-    cube_rules = cfg.get("cube_rules", ["first-child", "rotating"])
-    sig_rules = cfg.get("sig_rules", ["identity"])
-    grid_depth = depth + 3  # headroom for second shifts of the deepest pairs
-    plan = {
-        "command": "verify-cases",
-        "d": d,
-        "pair_depth": depth,
-        "grid_depth": grid_depth,
-        "cube_rules": cube_rules,
-        "sig_rules": sig_rules,
-    }
-    if args.dry_run:
-        return _dry_run(plan)
-    grid = GridSpec((d,), (grid_depth,))
+def cmd_verify_cases(plan: dict, out) -> int:
+    d = plan["d"]
+    grid = GridSpec((d,), (plan["grid_depth"],))
     sigs = strict_signatures(d)
-    cubes = []
-    if depth >= 0:
-        for k in range(depth + 1):
-            cubes.extend(
-                DyadicCube(d, k, pos)
-                for pos in itertools.product(range(1 << k), repeat=d)
-            )
+    cubes = [
+        DyadicCube(d, k, pos)
+        for k in range(plan["pair_depth"] + 1)
+        for pos in itertools.product(range(1 << k), repeat=d)
+    ]
     rows = []
-    mismatches = 0
     pairs = 0
-    for cube_rule, sig_rule in itertools.product(cube_rules, sig_rules):
+    for cube_rule, sig_rule in itertools.product(plan["cube_rules"], plan["sig_rules"]):
         smap = ShiftMap.preset(d, cube_rule, sig_rule)
         for I, Ip in itertools.product(cubes, repeat=2):
             for eps, epsp in itertools.product(sigs, repeat=2):
@@ -161,265 +325,110 @@ def cmd_verify_cases(cfg: dict, args) -> int:
                 got = comm.case_evaluate(grid, I, eps, Ip, epsp, smap)
                 want = comm.one_parameter_bracket(grid, I, eps, Ip, epsp, smap)
                 if got != want:
-                    mismatches += 1
                     diff = got - want
-                    expansion = "; ".join(
-                        f"{cell}={v!r}" for cell, v in sorted(diff.values.items())
-                    )
-                    rows.append(
-                        {
-                            "cube_rule": cube_rule,
-                            "sig_rule": sig_rule,
-                            "case": comm.case_classify(I, Ip, smap).value,
-                            "I": f"{I.level}:{I.pos}",
-                            "eps": str(eps),
-                            "Iprime": f"{Ip.level}:{Ip.pos}",
-                            "epsprime": str(epsp),
-                            "status": "mismatch",
-                            "residual_cells": len(diff.values),
-                            "residual": expansion,
-                        }
-                    )
+                    rows.append({
+                        "cube_rule": cube_rule, "sig_rule": sig_rule,
+                        "case": comm.case_classify(I, Ip, smap).value,
+                        "I": f"{I.level}:{I.pos}", "eps": str(eps),
+                        "Iprime": f"{Ip.level}:{Ip.pos}", "epsprime": str(epsp),
+                        "status": "mismatch", "residual_cells": len(diff.values),
+                        "residual": "; ".join(
+                            f"{cell}={v!r}" for cell, v in sorted(diff.values.items())
+                        ),
+                    })
     if pairs == 0:
         print("warning: empty grid, zero pairs checked")
-    summary = {"pairs": pairs, "mismatches": mismatches}
-    _write_reports(
-        args.out,
-        "verify_cases",
-        [
-            "cube_rule",
-            "sig_rule",
-            "case",
-            "I",
-            "eps",
-            "Iprime",
-            "epsprime",
-            "status",
-            "residual_cells",
-            "residual",
-        ],
-        rows,
-        {"plan": plan, "summary": summary},
-    )
-    print(f"verify-cases: {pairs} pairs, {mismatches} mismatches")
-    return EXIT_OK if mismatches == 0 else EXIT_VERIFY
+    summary = {"pairs": pairs, "mismatches": len(rows)}
+    _write_reports(out, "verify_cases", _CASE_COLUMNS, rows, {"plan": plan, "summary": summary})
+    print(f"verify-cases: {pairs} pairs, {len(rows)} mismatches")
+    return EXIT_OK if not rows else EXIT_VERIFY
 
 
-def _int_list(cfg: dict, key: str, default) -> list:
-    """A config list of plain integers (booleans and strings rejected)."""
-    value = cfg.get(key, default)
-    if not isinstance(value, list) or any(
-        isinstance(v, bool) or not isinstance(v, int) for v in value
-    ):
-        raise ConfigError(f"{key} must be a list of integers, got {value!r}")
-    return value
-
-
-def _int(cfg: dict, key: str, default) -> int:
-    """A config integer (booleans and strings rejected)."""
-    value = cfg.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return value
-
-
-def _seeds(cfg: dict, args, default) -> list:
-    """Sorted seeds: the ``--seed-list`` override, else the config's list."""
-    if args.seed_list is not None:
-        return sorted(args.seed_list)
-    return sorted(_int_list(cfg, "seeds", default))
-
-
-def cmd_verify_decomposition(cfg: dict, args) -> int:
-    dims = tuple(_int_list(cfg, "dims", [1]))
-    depths = tuple(_int_list(cfg, "depths", [5]))
-    if len(dims) != len(depths):
-        raise ConfigError("dims and depths must have equal length")
-    seeds = _seeds(cfg, args, list(range(100)))
-    cube_rules = cfg.get("cube_rules", ["first-child"] * len(dims))
-    sig_rules = cfg.get("sig_rules", ["identity"] * len(dims))
-    max_levels = _int_list(cfg, "max_levels", [n - 2 for n in depths])
-    for lvl, n in zip(max_levels, depths):
-        if lvl > n - 2:
-            raise ConfigError(
-                f"max level {lvl} violates the truncation horizon for depth {n}: "
-                "inputs must stay two levels clear of the finest scale"
-            )
-    plan = {
-        "command": "verify-decomposition",
-        "dims": dims,
-        "depths": depths,
-        "seeds": seeds,
-        "cube_rules": cube_rules,
-        "sig_rules": sig_rules,
-        "max_levels": max_levels,
-    }
-    if args.dry_run:
-        return _dry_run(plan)
-    grid = GridSpec(dims, depths)
-    maps = [ShiftMap.preset(d, c, s) for d, c, s in zip(dims, cube_rules, sig_rules)]
+def cmd_verify_decomposition(plan: dict, out) -> int:
+    grid = GridSpec(plan["dims"], plan["depths"])
+    maps = [
+        ShiftMap.preset(d, c, s)
+        for d, c, s in zip(plan["dims"], plan["cube_rules"], plan["sig_rules"])
+    ]
     D = comm.decompose(maps, grid)
+    max_levels = tuple(plan["max_levels"])
     rows = []
-    failures = 0
-    for seed in seeds:
+    for seed in plan["seeds"]:
         rng = np.random.default_rng(seed)
-        b = random_haar_function(grid, rng, max_levels=tuple(max_levels))
-        f = random_haar_function(grid, rng, max_levels=tuple(max_levels))
+        b = random_haar_function(grid, rng, max_levels=max_levels)
+        f = random_haar_function(grid, rng, max_levels=max_levels)
         residual = comm.verify_decomposition(D, b, f)
-        ok = residual.is_zero
-        if not ok:
-            failures += 1
         rows.append(
-            {"seed": seed, "zero_residual": ok, "residual_cells": len(residual.values)}
+            {"seed": seed, "zero_residual": residual.is_zero,
+             "residual_cells": len(residual.values)}
         )
+    failures = sum(1 for r in rows if not r["zero_residual"])
     _write_reports(
-        args.out,
-        "verify_decomposition",
-        ["seed", "zero_residual", "residual_cells"],
-        rows,
+        out, "verify_decomposition", ["seed", "zero_residual", "residual_cells"], rows,
         {"plan": plan, "terms": len(D.terms), "failures": failures},
     )
     print(
-        f"verify-decomposition: {len(seeds)} seeds, {len(D.terms)} terms, "
-        f"{failures} failures"
+        f"verify-decomposition: {len(rows)} seeds, {len(D.terms)} terms, {failures} failures"
     )
     return EXIT_OK if failures == 0 else EXIT_VERIFY
 
 
 def _symbol_from_config(symbol, grid: GridSpec, rng) -> StepFunction:
-    if symbol == "random" or symbol is None:
-        return random_haar_function(grid, rng)
+    if isinstance(symbol, dict):
+        factors = tuple(
+            DyadicCube(d, level, tuple(pos))
+            for d, level, pos in zip(grid.dims, symbol["rect_levels"], symbol["rect_pos"])
+        )
+        vecsig = tuple(tuple(sig) for sig in symbol["sigs"])
+        return haar_function(grid, DyadicRectangle(factors), vecsig)
     if symbol == "constant":
         return StepFunction.constant(grid, 1)
     if symbol == "single-haar":
         return comm.single_haar_symbol(grid)
-    if isinstance(symbol, dict) and "rect_levels" in symbol:
-        factors = tuple(
-            DyadicCube(d, int(lvl), tuple(int(p) for p in pos))
-            for d, lvl, pos in zip(grid.dims, symbol["rect_levels"], symbol["rect_pos"])
-        )
-        vecsig = tuple(tuple(int(b) for b in s) for s in symbol["sigs"])
-        return haar_function(grid, DyadicRectangle(factors), vecsig)
-    raise ConfigError(f"cannot interpret symbol {symbol!r}")
+    return random_haar_function(grid, rng)
 
 
-def cmd_bmo(cfg: dict, args) -> int:
-    dims = tuple(_int_list(cfg, "dims", [1, 1]))
-    depths = tuple(_int_list(cfg, "depths", [2, 2]))
-    seeds = _seeds(cfg, args, list(range(10)))
-    modes = cfg.get("modes", ["rectangle-sup", "greedy-union"])
-    symbol = cfg.get("symbol", "random")
-    plan = {
-        "command": "bmo",
-        "dims": dims,
-        "depths": depths,
-        "seeds": seeds,
-        "modes": modes,
-        "symbol": symbol,
-    }
-    if args.dry_run:
-        return _dry_run(plan)
-    grid = GridSpec(dims, depths)
+def cmd_bmo(plan: dict, out) -> int:
+    grid = GridSpec(plan["dims"], plan["depths"])
     rows = []
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
-        b = _symbol_from_config(symbol, grid, rng)
-        for mode in modes:
+    for seed in plan["seeds"]:
+        b = _symbol_from_config(plan["symbol"], grid, np.random.default_rng(seed))
+        for mode in plan["modes"]:
             est = para.bmo_norm(b, mode)
             rows.append(
-                {
-                    "seed": seed,
-                    "mode": mode,
-                    "value": repr(est.value),
-                    "witness_cells": est.cell_count,
-                }
+                {"seed": seed, "mode": mode, "value": repr(est.value),
+                 "witness_cells": est.cell_count}
             )
-    _write_reports(
-        args.out,
-        "bmo",
-        ["seed", "mode", "value", "witness_cells"],
-        rows,
-        {"plan": plan},
-    )
+    _write_reports(out, "bmo", ["seed", "mode", "value", "witness_cells"], rows, {"plan": plan})
     print(f"bmo: {len(rows)} rows")
     return EXIT_OK
 
 
-def cmd_opnorm(cfg: dict, args) -> int:
-    d = _int(cfg, "d", 1)
-    depths = _int_list(cfg, "depths", [4])
-    seeds = _seeds(cfg, args, [0])
-    cube_rule = cfg.get("cube_rule", "first-child")
-    sig_rule = cfg.get("sig_rule", "identity")
-    symbol = cfg.get("symbol", "random")
-    method = cfg.get("method", "power")
-    cap = _int(cfg, "cap", 4096)
-    plan = {
-        "command": "opnorm",
-        "d": d,
-        "depths": depths,
-        "seeds": seeds,
-        "cube_rule": cube_rule,
-        "sig_rule": sig_rule,
-        "symbol": symbol,
-        "method": method,
-        "cap": cap,
-    }
-    if args.dry_run:
-        return _dry_run(plan)
+def cmd_opnorm(plan: dict, out) -> int:
+    d = plan["d"]
+    ts = TensorShift.single(ShiftMap.preset(d, plan["cube_rule"], plan["sig_rule"]))
     rows = []
-    for depth in depths:
+    for depth in plan["depths"]:
         grid = GridSpec((d,), (depth,))
-        smap = ShiftMap.preset(d, cube_rule, sig_rule)
-        ts = TensorShift.single(smap)
-        for seed in seeds:
-            rng = np.random.default_rng(seed)
-            b = _symbol_from_config(symbol, grid, rng)
-            res = comm.operator_norm(b, ts, grid, method=method, cap=cap)
+        for seed in plan["seeds"]:
+            b = _symbol_from_config(plan["symbol"], grid, np.random.default_rng(seed))
+            res = comm.operator_norm(b, ts, grid, method=plan["method"], cap=plan["cap"])
             rows.append(
-                {
-                    "seed": seed,
-                    "depth": depth,
-                    "opnorm": repr(res.value),
-                    "iterations": res.iterations,
-                    "converged": res.converged,
-                }
+                {"seed": seed, "depth": depth, "opnorm": repr(res.value),
+                 "iterations": res.iterations, "converged": res.converged}
             )
-    _write_reports(
-        args.out,
-        "opnorm",
-        ["seed", "depth", "opnorm", "iterations", "converged"],
-        rows,
-        {"plan": plan},
-    )
+    columns = ["seed", "depth", "opnorm", "iterations", "converged"]
+    _write_reports(out, "opnorm", columns, rows, {"plan": plan})
     stalled = sum(1 for r in rows if r["converged"] is False)
     print(f"opnorm: {len(rows)} rows, {stalled} not converged")
     return EXIT_OK if stalled == 0 else EXIT_VERIFY
 
 
-def cmd_ratio(cfg: dict, args) -> int:
-    d = _int(cfg, "d", 1)
-    depths = _int_list(cfg, "depths", [3, 4])
-    seeds = _seeds(cfg, args, list(range(10)))
-    cube_rule = cfg.get("cube_rule", "first-child")
-    sig_rule = cfg.get("sig_rule", "identity")
-    bmo_mode = cfg.get("bmo_mode", "greedy-union")
-    method = cfg.get("method", "power")
-    plan = {
-        "command": "ratio",
-        "d": d,
-        "depths": depths,
-        "seeds": seeds,
-        "cube_rule": cube_rule,
-        "sig_rule": sig_rule,
-        "bmo_mode": bmo_mode,
-        "method": method,
-    }
-    if args.dry_run:
-        return _dry_run(plan)
+def cmd_ratio(plan: dict, out, fixtures=None) -> int:
+    d, bmo_mode, method = plan["d"], plan["bmo_mode"], plan["method"]
     rows = comm.norm_ratio_experiment(
-        depths, seeds, d=d, cube_rule=cube_rule, sig_rule=sig_rule,
-        bmo_mode=bmo_mode, method=method,
+        plan["depths"], plan["seeds"], d=d, cube_rule=plan["cube_rule"],
+        sig_rule=plan["sig_rule"], bmo_mode=bmo_mode, method=method,
     )
     out_rows = [
         {
@@ -434,32 +443,24 @@ def cmd_ratio(cfg: dict, args) -> int:
     ]
     stalled = sum(1 for r in rows if r["converged"] is False)
     mismatch = 0
-    if args.fixtures:
-        with open(args.fixtures) as fh:
-            fixtures = json.load(fh)
-        family = fixtures.get("single_haar", {})
-        for depth in depths:
-            key = str(depth)
-            if key not in family:
-                continue
-            grid = GridSpec((d,), (depth,))
-            smap = ShiftMap.preset(d, cube_rule, sig_rule)
-            b = comm.single_haar_symbol(grid)
-            est = para.bmo_norm(b, bmo_mode)
-            res = comm.operator_norm(b, TensorShift.single(smap), grid, method=method)
-            got = res.value / est.value
-            if not res.converged or abs(got - family[key]["ratio"]) > 1e-8:
-                mismatch += 1
-                print(
-                    f"fixture mismatch at depth {depth}: "
-                    f"got {got!r}, expected {family[key]['ratio']!r}, "
-                    f"converged {res.converged}"
-                )
+    ts = TensorShift.single(ShiftMap.preset(d, plan["cube_rule"], plan["sig_rule"]))
+    family = fixtures or {}
+    for depth in plan["depths"]:
+        if str(depth) not in family:
+            continue
+        expected = family[str(depth)]["ratio"]
+        grid = GridSpec((d,), (depth,))
+        b = comm.single_haar_symbol(grid)
+        res = comm.operator_norm(b, ts, grid, method=method)
+        got = res.value / para.bmo_norm(b, bmo_mode).value
+        if not res.converged or abs(got - expected) > 1e-8:
+            mismatch += 1
+            print(
+                f"fixture mismatch at depth {depth}: got {got!r}, "
+                f"expected {expected!r}, converged {res.converged}"
+            )
     _write_reports(
-        args.out,
-        "ratio",
-        ["seed", "depth", "ratio", "bmo_mode"],
-        out_rows,
+        out, "ratio", ["seed", "depth", "ratio", "bmo_mode"], out_rows,
         {"plan": plan, "fixture_mismatches": mismatch, "not_converged": stalled},
     )
     print(
@@ -469,37 +470,18 @@ def cmd_ratio(cfg: dict, args) -> int:
     return EXIT_OK if mismatch == 0 and stalled == 0 else EXIT_VERIFY
 
 
-def cmd_riesz(cfg: dict, args) -> int:
-    d = _int(cfg, "d", 1)
-    n = _int(cfg, "n", 16)
-    samples = _int(cfg, "samples", 64)
-    seeds = _seeds(cfg, args, list(range(5)))
-    component = _int(cfg, "component", 1)
-    plan = {
-        "command": "riesz",
-        "d": d,
-        "n": n,
-        "samples": samples,
-        "seeds": seeds,
-        "component": component,
-    }
-    if args.dry_run:
-        return _dry_run(plan)
-    target = rz.riesz_matrix(d, n, component)
+def cmd_riesz(plan: dict, out, gnuplot: bool) -> int:
+    d, n = plan["d"], plan["n"]
+    target = rz.riesz_matrix(d, n, plan["component"])
     rows = []
-    for seed in seeds:
-        mats = [
-            rz.sample_shift_matrix(s) for s in rz.draw_grid_samples(d, n, samples, seed)
-        ]
-        residuals = rz.span_residual(mats, target)
+    for seed in plan["seeds"]:
+        samples = rz.draw_grid_samples(d, n, plan["samples"], seed)
+        residuals = rz.span_residual([rz.sample_shift_matrix(s) for s in samples], target)
         for m, r in enumerate(residuals):
             rows.append({"seed": seed, "M": m, "residual": repr(float(r))})
-    _write_reports(
-        args.out, "riesz", ["seed", "M", "residual"], rows, {"plan": plan}
-    )
-    if args.out is not None and cfg.get("gnuplot"):
-        out = Path(args.out)
-        with open(out / "riesz.dat", "w") as fh:
+    _write_reports(out, "riesz", ["seed", "M", "residual"], rows, {"plan": plan})
+    if out is not None and gnuplot:
+        with open(Path(out) / "riesz.dat", "w") as fh:
             fh.write("# seed M residual\n")
             for row in rows:
                 fh.write(f"{row['seed']} {row['M']} {row['residual']}\n")
@@ -518,17 +500,20 @@ _COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subcommand per schema, each with only the flags it reads."""
     parser = argparse.ArgumentParser(
         prog="dyadlab",
         description="Verification suites and experiments for dyadic commutator analysis",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, fields in _SCHEMAS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config path")
-        p.add_argument("--seed-list", default=None, help="comma-separated seed override")
-        p.add_argument("--out", default=None, help="directory for CSV/JSON reports")
-        p.add_argument("--fixtures", default=None, help="fixture JSON for comparisons")
+        if any(f.name == "seeds" for f in fields):
+            p.add_argument("--seed-list", help="comma-separated seed override")
+        if name == "ratio":
+            p.add_argument("--fixtures", help="fixture JSON for comparisons")
+        p.add_argument("--out", help="directory for CSV/JSON reports")
         p.add_argument("--dry-run", action="store_true", help="print the plan and exit")
     return parser
 
@@ -536,17 +521,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _load_config(args.config, args.command)
-        if args.seed_list is not None:
-            args.seed_list = _parse_seed_list(args.seed_list)
-        return _COMMANDS[args.command](cfg, args)
+        plan, inputs = _load_config(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ValueError as exc:
-        # unresolvable presets, bad dimensions and similar config-level issues
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    if args.dry_run:
+        print(json.dumps({"dry_run": True, "plan": plan}, indent=1))
+        return EXIT_OK
+    try:
+        return _COMMANDS[args.command](plan, args.out, **inputs)
     except CapExceededError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_CAP

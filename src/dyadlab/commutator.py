@@ -60,6 +60,7 @@ __all__ = [
     "term_descriptors",
     "combine_descriptors",
     "OperatorNormResult",
+    "NORM_METHODS",
     "operator_norm",
     "norm_ratio_experiment",
     "single_haar_symbol",
@@ -439,6 +440,9 @@ def single_haar_symbol(grid: GridSpec) -> StepFunction:
     return haar_function(grid, rect, vecsig)
 
 
+NORM_METHODS = ("power", "svd")
+
+
 def operator_norm(
     b: StepFunction,
     ts: TensorShift,
@@ -450,6 +454,8 @@ def operator_norm(
     cap: int = 4096,
 ) -> OperatorNormResult:
     """Largest singular value of ``f -> commutator(b, f)`` in the Haar basis."""
+    if method not in NORM_METHODS:
+        raise ValueError(f"unknown method {method!r}")
     mat = matrix_in_haar_basis(lambda f: commutator_apply(b, ts, f), grid, cap)
     a = matrix_to_float(mat)
     if method == "svd":

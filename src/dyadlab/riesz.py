@@ -95,6 +95,8 @@ def riesz_matrix(d: int, n: int, j: int) -> np.ndarray:
     size = n**d
     if j == 0:
         return np.eye(size, dtype=np.complex128)
+    if not 1 <= j <= d:
+        raise ValueError("component out of range")
     mult = _riesz_multiplier(d, n, j)
     cols = np.fft.ifftn(
         np.fft.fftn(np.eye(size).reshape((n,) * d + (size,)), axes=tuple(range(d)))

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -308,3 +309,83 @@ def test_opnorm_nonconvergence_fails_closed(tmp_path, monkeypatch):
         tmp_path, {"schema_version": 1, "d": 1, "depths": [3], "seeds": [0]}
     )
     assert run(["opnorm", "--config", cfg]) == cli.EXIT_VERIFY
+
+
+@pytest.mark.parametrize(
+    "command, cfg, flags, key",
+    [
+        ("bmo", {"symbol": {"rect_levels": [1], "sigs": [[0]]}}, [], "symbol"),
+        ("ratio", {"depths": [3]}, ["--fixtures", "missing.json"], "fixtures"),
+        ("bmo", {"modes": "greedy-union"}, [], "modes"),
+        ("riesz", {"samples": 2, "gnuplot": "no"}, [], "gnuplot"),
+        ("opnorm", {"depths": [3], "method": "banana"}, [], "method"),
+        ("riesz", {"samples": 2, "component": 7}, [], "component"),
+        ("riesz", {"samples": 2, "n": 12}, [], "n must"),
+        ("opnorm", {"depths": [3], "seeds": [-1]}, [], "seeds"),
+        ("opnorm", {"depths": [0, 3], "symbol": "single-haar"}, [], "symbol"),
+        ("opnorm", {"depths": [3], "cube_rule": {"child": 5}}, [], "cube_rule"),
+        (
+            "verify-decomposition",
+            {"dims": [1, 1], "depths": [3, 3], "cube_rules": ["first-child"]},
+            [],
+            "cube_rules",
+        ),
+        (
+            "bmo",
+            {
+                "dims": [1],
+                "depths": [2],
+                "symbol": {"rect_levels": [2], "rect_pos": [[0]], "sigs": [[0]]},
+            },
+            [],
+            "symbol",
+        ),
+    ],
+)
+def test_bad_config_is_config_error(tmp_path, monkeypatch, capsys, command, cfg, flags, key):
+    # each of these crashed, ran silently or failed mid-computation before
+    # the config was resolved against its schema
+    monkeypatch.chdir(tmp_path)
+    path = write_config(tmp_path, {"schema_version": 1, **cfg})
+    assert run([command, "--config", path, *flags, "--out", "r"]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and key in err
+    assert not (tmp_path / "r").exists()
+
+
+def test_compute_error_is_not_a_config_error(tmp_path, monkeypatch):
+    import dyadlab.commutator as comm
+
+    def broken(*args):
+        raise ValueError("bug found while computing")
+
+    monkeypatch.setattr(comm, "case_evaluate", broken)
+    cfg = write_config(tmp_path, {"schema_version": 1, "d": 1, "depth": 1})
+    with pytest.raises(ValueError, match="bug found while computing"):
+        run(["verify-cases", "--config", cfg])
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("verify-cases", ["--seed-list", "1,2"]),
+        ("verify-cases", ["--fixtures", "x.json"]),
+        ("opnorm", ["--fixtures", "x.json"]),
+    ],
+)
+def test_unread_flag_rejected(tmp_path, command, flags):
+    cfg = write_config(tmp_path, {"schema_version": 1})
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--config", cfg, "--dry-run", *flags])
+    assert exc.value.code == cli.EXIT_CONFIG
+
+
+CONFIGS = sorted((Path(__file__).parents[1] / "configs").glob("*.json"))
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
+def test_shipped_config_resolves(path, capsys):
+    # each configs/<command>_*.json is named after the command it drives
+    command = next(c for c in cli._COMMANDS if path.stem.startswith(c.replace("-", "_")))
+    assert run([command, "--config", str(path), "--dry-run"]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["plan"]["command"] == command

@@ -327,6 +327,12 @@ def test_opnorm_power_matches_svd():
     assert p.value == pytest.approx(s.value, abs=1e-9)
 
 
+def test_opnorm_rejects_unknown_method():
+    g = GridSpec((1,), (3,))
+    with pytest.raises(ValueError, match="unknown method"):
+        operator_norm(single_haar_symbol(g), TensorShift.single(FIRST), g, method="banana")
+
+
 def test_opnorm_homogeneous_in_symbol():
     g = GridSpec((1,), (3,))
     rng = np.random.default_rng(8)

@@ -36,6 +36,9 @@ def test_component_range():
     f = rand_fn(1, 8)
     with pytest.raises(ValueError):
         discrete_riesz(2, f)
+    for j in (-1, 2):
+        with pytest.raises(ValueError):
+            riesz_matrix(1, 8, j)
 
 
 def test_hilbert_squares_to_minus_identity_mod_mean():
