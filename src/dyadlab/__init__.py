@@ -20,7 +20,7 @@ from .grid import (
     sig_xnor,
     unit_cube,
 )
-from .stepfn import StepFunction, translate, dilate, translate_dilate
+from .stepfn import StepFunction
 from .haar import (
     HaarExpansion,
     analyze,

@@ -106,8 +106,9 @@ def _per_dim(lo=None):
 _DIMS = (lambda v, c: bool(v) and min(v) >= 1, "be non-empty, each >= 1")
 # the truncation horizon: some decomposition terms shift twice
 _HORIZON = (
-    lambda v, c: len(v) == len(c["depths"]) and all(m <= n - 2 for m, n in zip(v, c["depths"])),
-    "have one entry per depth, each at most that depth - 2 "
+    lambda v, c: len(v) == len(c["depths"])
+    and all(0 <= m <= n - 2 for m, n in zip(v, c["depths"])),
+    "have one entry per depth, each from 0 to that depth - 2 "
     "(random inputs stay two levels clear of the finest scale)",
 )
 
@@ -171,7 +172,8 @@ _SCHEMAS = {
     ),
     "verify-decomposition": (
         Field("dims", _INTS, [1], _DIMS),
-        Field("depths", _INTS, [5], _per_dim(0)),
+        # a depth-1 grid draws no random coefficient: b = f = 0 checks nothing
+        Field("depths", _INTS, [5], _per_dim(2)),
         Field("seeds", _INTS, list(range(100)), _at_least(0)),
         Field("cube_rules", _list_of(CUBE_PRESETS), lambda c: ["first-child"] * len(c["dims"]),
               _per_dim()),

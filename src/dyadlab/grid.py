@@ -73,15 +73,8 @@ class DyadicCube:
             raise ValueError("cube escapes the unit domain")
 
     @property
-    def side(self) -> Fraction:
-        return Fraction(1, 1 << self.level)
-
-    @property
     def volume(self) -> Fraction:
         return Fraction(1, 1 << (self.level * self.d))
-
-    def volume_scalar(self) -> Scalar:
-        return Scalar(1, 0, self.level * self.d)
 
     def children(self) -> list["DyadicCube"]:
         """The 2**d disjoint subcubes of the next level, in child-index order."""
@@ -176,10 +169,6 @@ class DyadicRectangle:
             v *= c.volume
         return v
 
-    def volume_scalar(self) -> Scalar:
-        e = sum(c.level * c.d for c in self.factors)
-        return Scalar(1, 0, e)
-
     def inv_sqrt_volume(self) -> Scalar:
         """Exact ``|R|**(-1/2)``."""
         from .scalar import sqrt2_pow
@@ -260,12 +249,6 @@ class GridSpec:
 
     def unit_rectangle(self) -> DyadicRectangle:
         return DyadicRectangle(tuple(unit_cube(d) for d in self.dims))
-
-    def contains_rectangle(self, rect: DyadicRectangle) -> bool:
-        return rect.t == self.t and all(
-            c.d == d and c.level <= k
-            for c, d, k in zip(rect.factors, self.dims, self.depth)
-        )
 
 
 @lru_cache(maxsize=None)

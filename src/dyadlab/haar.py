@@ -37,8 +37,6 @@ reference definitions; the tests check the pyramid against them.
 from __future__ import annotations
 
 import itertools
-import json
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -200,54 +198,6 @@ class HaarExpansion:
 
     def __repr__(self):
         return f"HaarExpansion(grid={self.grid!r}, nnz={len(self.coeffs)})"
-
-    def to_json(self) -> dict:
-        entries = []
-        for (rect, vecsig) in sorted(self.coeffs, key=_key_sort):
-            c = self.coeffs[(rect, vecsig)]
-            a, b = c.to_fractions()
-            entries.append(
-                [
-                    [[cube.level, list(cube.pos)] for cube in rect.factors],
-                    [list(sig) for sig in vecsig],
-                    str(a),
-                    str(b),
-                ]
-            )
-        ma, mb = self.mean.to_fractions()
-        return {
-            "schema_version": 1,
-            "type": "haar_expansion",
-            "dims": list(self.grid.dims),
-            "depth": list(self.grid.depth),
-            "mean": [str(ma), str(mb)],
-            "coeffs": entries,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "HaarExpansion":
-        if data.get("type") != "haar_expansion":
-            raise ValueError("not a haar_expansion payload")
-        from .scalar import from_fraction
-
-        grid = GridSpec(tuple(data["dims"]), tuple(data["depth"]))
-        mean = from_fraction(Fraction(data["mean"][0]), Fraction(data["mean"][1]))
-        coeffs = {}
-        for rect_raw, sig_raw, a, b in data["coeffs"]:
-            factors = tuple(
-                DyadicCube(d, level, tuple(pos))
-                for (level, pos), d in zip(rect_raw, grid.dims)
-            )
-            key = (DyadicRectangle(factors), tuple(tuple(s) for s in sig_raw))
-            coeffs[key] = from_fraction(Fraction(a), Fraction(b))
-        return cls(grid, mean, coeffs)
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json())
-
-    @classmethod
-    def loads(cls, s: str) -> "HaarExpansion":
-        return cls.from_json(json.loads(s))
 
 
 def _key_sort(key):

@@ -17,7 +17,6 @@ the mode-monotonicity comparisons are exact.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -96,60 +95,12 @@ class ParaproductSpec:
     def is_bmo_admissible(self) -> bool:
         return self.is_admissible() and all(is_strict(sig) for sig in self.eps1)
 
-    def to_json(self) -> dict:
-        if self.signs is None:
-            signs = "plus"
-        else:
-            seed = getattr(self.signs, "seed", None)
-            if seed is None:
-                raise ValueError("only default or seeded signs are serializable")
-            signs = {"seed": seed}
-        return {
-            "schema_version": 1,
-            "type": "paraproduct_spec",
-            "eps1": [list(p) for p in self.eps1],
-            "eps2": [list(p) for p in self.eps2],
-            "eps3": [list(p) for p in self.eps3],
-            "signs": signs,
-        }
 
-    @classmethod
-    def from_json(cls, data, grid: GridSpec | None = None) -> "ParaproductSpec":
-        if isinstance(data, str):
-            data = json.loads(data)
-        if data.get("type") != "paraproduct_spec":
-            raise ValueError("not a paraproduct_spec payload")
-        eps = tuple(
-            tuple(tuple(int(b) for b in part) for part in data[k])
-            for k in ("eps1", "eps2", "eps3")
-        )
-        signs = data.get("signs", "plus")
-        if signs == "plus":
-            rule = None
-        elif isinstance(signs, dict) and "seed" in signs:
-            if grid is None:
-                raise ValueError("seeded signs need a grid to materialize")
-            rule = random_signs(grid, int(signs["seed"]))
-        else:
-            raise ValueError(f"cannot interpret signs {signs!r}")
-        return cls(eps[0], eps[1], eps[2], rule)
-
-
-class _SeededSigns(dict):
-    """Random per-rectangle signs; remembers its seed for serialization."""
-
-    def __init__(self, mapping, seed):
-        super().__init__(mapping)
-        self.seed = seed
-
-
-def random_signs(grid: GridSpec, seed: int) -> _SeededSigns:
+def random_signs(grid: GridSpec, seed: int) -> dict:
     rng = np.random.default_rng(seed)
     rects = enumerate_rectangles(grid)
     flips = rng.integers(0, 2, size=len(rects))
-    return _SeededSigns(
-        {r: (1 if f == 0 else -1) for r, f in zip(rects, flips)}, seed
-    )
+    return {r: (1 if f == 0 else -1) for r, f in zip(rects, flips)}
 
 
 def apply_paraproduct(

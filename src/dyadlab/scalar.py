@@ -53,10 +53,6 @@ class Scalar:
     # -- construction -----------------------------------------------------
 
     @staticmethod
-    def from_int(k: int) -> "Scalar":
-        return Scalar(k, 0, 0)
-
-    @staticmethod
     def coerce(x) -> "Scalar":
         if isinstance(x, Scalar):
             return x

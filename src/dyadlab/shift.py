@@ -16,7 +16,6 @@ many coefficients the grid depth cut off.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,21 +42,44 @@ SIG_PRESETS = ("identity", "cyclic")
 class ShiftMap:
     """Cube rule plus signature rule, both total on their domains.
 
-    Cube rules: ``("first-child",)`` picks child 0; ``("rotating",)``
-    picks child ``sum(pos) mod 2**d``; ``("child", c)`` always picks child
-    ``c``; ``("table", items, default)`` maps levels to child indices.
-    Signature rules: ``("identity",)``, ``("cyclic",)`` (rotate bits right
-    by one) and ``("kill", sig)`` (send one signature to zero, keep the
-    rest).
+    A rule is a preset name or a tuple led by its kind; the constructor
+    stores a name as its 1-tuple and rejects every other rule.  Cube
+    rules: ``"first-child"`` picks child 0; ``"rotating"`` picks child
+    ``sum(pos) mod 2**d``; ``("child", c)`` always picks child ``c``, for
+    ``0 <= c < 2**d``.  Signature rules: ``"identity"``, ``"cyclic"``
+    (rotate bits right by one) and ``("kill", sig)`` (send the strict
+    length-``d`` signature ``sig`` to zero, keep the rest).
     """
 
     d: int
     cube_rule: tuple
     sig_rule: tuple
 
+    def __post_init__(self):
+        cube = (self.cube_rule,) if isinstance(self.cube_rule, str) else self.cube_rule
+        sig = (self.sig_rule,) if isinstance(self.sig_rule, str) else self.sig_rule
+        if not (_is_rule(cube, CUBE_PRESETS) or (
+            _is_rule(cube, ("child",), 2) and type(cube[1]) is int
+            and 0 <= cube[1] < 1 << self.d
+        )):
+            raise ValueError(
+                f"cube rule {self.cube_rule!r} is not one of {CUBE_PRESETS}"
+                f" or ('child', c) with 0 <= c < {1 << self.d}"
+            )
+        if not (_is_rule(sig, SIG_PRESETS) or (
+            _is_rule(sig, ("kill",), 2) and isinstance(sig[1], tuple)
+            and len(sig[1]) == self.d and set(sig[1]) <= {0, 1} and is_strict(sig[1])
+        )):
+            raise ValueError(
+                f"signature rule {self.sig_rule!r} is not one of {SIG_PRESETS}"
+                f" or ('kill', sig) with sig a strict signature of length {self.d}"
+            )
+        object.__setattr__(self, "cube_rule", cube)
+        object.__setattr__(self, "sig_rule", sig)
+
     @classmethod
     def preset(cls, d: int, cube="first-child", sig="identity") -> "ShiftMap":
-        return cls(d, _normalize_cube_rule(cube), _normalize_sig_rule(sig, d))
+        return cls(d, cube, sig)
 
     def sigma_cube(self, cube: DyadicCube) -> DyadicCube:
         if cube.d != self.d:
@@ -67,13 +89,8 @@ class ShiftMap:
             idx = 0
         elif kind == "rotating":
             idx = sum(cube.pos) % (1 << self.d)
-        elif kind == "child":
+        else:  # ("child", c)
             idx = self.cube_rule[1]
-        elif kind == "table":
-            table = dict(self.cube_rule[1])
-            idx = table.get(cube.level, self.cube_rule[2])
-        else:  # pragma: no cover - constructor validates
-            raise ValueError(f"unknown cube rule {kind}")
         return cube.child(idx)
 
     def sigma_sig(self, sig: tuple[int, ...]):
@@ -84,66 +101,11 @@ class ShiftMap:
             return sig
         if kind == "cyclic":
             return (sig[-1],) + sig[:-1]
-        if kind == "kill":
-            return None if sig == self.sig_rule[1] else sig
-        raise ValueError(f"unknown signature rule {kind}")  # pragma: no cover
-
-    # -- serialization: {level pattern -> child index, signature -> signature|null}
-
-    def to_json(self) -> dict:
-        kind = self.cube_rule[0]
-        if kind in CUBE_PRESETS:
-            cube = kind
-        elif kind == "child":
-            cube = {"child": self.cube_rule[1]}
-        else:
-            cube = {
-                "levels": {str(k): v for k, v in self.cube_rule[1]},
-                "default": self.cube_rule[2],
-            }
-        skind = self.sig_rule[0]
-        if skind in SIG_PRESETS:
-            sig = skind
-        else:
-            sig = {"kill": list(self.sig_rule[1])}
-        return {"d": self.d, "cube_rule": cube, "sig_rule": sig}
-
-    @classmethod
-    def from_json(cls, data) -> "ShiftMap":
-        if isinstance(data, str):
-            data = json.loads(data)
-        return cls.preset(data["d"], data["cube_rule"], data["sig_rule"])
+        return None if sig == self.sig_rule[1] else sig  # ("kill", target)
 
 
-def _normalize_cube_rule(rule) -> tuple:
-    if isinstance(rule, tuple):
-        return rule
-    if isinstance(rule, str):
-        if rule not in CUBE_PRESETS:
-            raise ValueError(f"unknown cube preset {rule!r}")
-        return (rule,)
-    if isinstance(rule, dict):
-        if "child" in rule:
-            return ("child", int(rule["child"]))
-        if "levels" in rule:
-            items = tuple(sorted((int(k), int(v)) for k, v in rule["levels"].items()))
-            return ("table", items, int(rule.get("default", 0)))
-    raise ValueError(f"cannot interpret cube rule {rule!r}")
-
-
-def _normalize_sig_rule(rule, d: int) -> tuple:
-    if isinstance(rule, tuple) and rule and rule[0] in ("identity", "cyclic", "kill"):
-        return rule
-    if isinstance(rule, str):
-        if rule not in SIG_PRESETS:
-            raise ValueError(f"unknown signature preset {rule!r}")
-        return (rule,)
-    if isinstance(rule, dict) and "kill" in rule:
-        sig = tuple(int(b) for b in rule["kill"])
-        if len(sig) != d or not is_strict(sig):
-            raise ValueError("kill target must be a strict signature of dimension d")
-        return ("kill", sig)
-    raise ValueError(f"cannot interpret signature rule {rule!r}")
+def _is_rule(rule, kinds, size=1) -> bool:
+    return isinstance(rule, tuple) and len(rule) == size and rule[0] in kinds
 
 
 @dataclass(frozen=True)

@@ -8,26 +8,12 @@ exact.  Floats appear only in ``lp_norm`` and ``to_array``.
 
 from __future__ import annotations
 
-import itertools
-import json
-from fractions import Fraction
-
 import numpy as np
 
 from .grid import DyadicRectangle, GridSpec
 from .scalar import Scalar, ZERO
 
-__all__ = [
-    "StepFunction",
-    "translate_dilate",
-    "translate",
-    "dilate",
-    "UnsupportedExponentError",
-]
-
-
-class UnsupportedExponentError(ValueError):
-    """Raised when a dilation factor is not representable in the scalar ring."""
+__all__ = ["StepFunction"]
 
 
 class StepFunction:
@@ -68,10 +54,6 @@ class StepFunction:
 
     def value_at(self, cell) -> Scalar:
         return self.values.get(cell, ZERO)
-
-    @property
-    def support(self):
-        return self.values.keys()
 
     @property
     def is_zero(self) -> bool:
@@ -174,159 +156,5 @@ class StepFunction:
         """Float values in the canonical cell order of the grid."""
         return np.array([float(self.value_at(c)) for c in self.grid.cells()])
 
-    # -- serialization -------------------------------------------------------------
-
-    def to_json(self) -> dict:
-        entries = []
-        for cell in sorted(self.values):
-            v = self.values[cell]
-            a, b = v.to_fractions()
-            entries.append([[list(part) for part in cell], str(a), str(b)])
-        return {
-            "schema_version": 1,
-            "type": "step_function",
-            "dims": list(self.grid.dims),
-            "depth": list(self.grid.depth),
-            "values": entries,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "StepFunction":
-        if data.get("type") != "step_function":
-            raise ValueError("not a step_function payload")
-        grid = GridSpec(tuple(data["dims"]), tuple(data["depth"]))
-        from .scalar import from_fraction
-
-        values = {}
-        for cell_raw, a, b in data["values"]:
-            cell = tuple(tuple(part) for part in cell_raw)
-            values[cell] = from_fraction(Fraction(a), Fraction(b))
-        return cls(grid, values)
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json())
-
-    @classmethod
-    def loads(cls, s: str) -> "StepFunction":
-        return cls.from_json(json.loads(s))
-
     def __repr__(self):
         return f"StepFunction(grid={self.grid!r}, nnz={len(self.values)})"
-
-
-def _axis_sizes(grid: GridSpec) -> list[int]:
-    sizes = []
-    for d, k in zip(grid.dims, grid.depth):
-        sizes.extend([1 << k] * d)
-    return sizes
-
-
-def _flatten(cell) -> tuple[int, ...]:
-    return tuple(p for part in cell for p in part)
-
-
-def _unflatten(flat, grid: GridSpec):
-    out = []
-    i = 0
-    for d in grid.dims:
-        out.append(tuple(flat[i : i + d]))
-        i += d
-    return tuple(out)
-
-
-def translate(f: StepFunction, y) -> StepFunction:
-    """Periodic translation ``x -> f(x - y)`` by a grid-aligned dyadic vector.
-
-    ``y`` lists one dyadic rational per axis (parameters flattened); each
-    component must be a multiple of the finest cell side on its axis.
-    """
-    sizes = _axis_sizes(f.grid)
-    if len(y) != len(sizes):
-        raise ValueError("translation vector has wrong length")
-    shifts = []
-    for yj, nj in zip(y, sizes):
-        off = Fraction(yj) * nj
-        if off.denominator != 1:
-            raise ValueError("translation is not aligned with the grid")
-        shifts.append(int(off) % nj)
-    out = {}
-    for cell, v in f.values.items():
-        flat = _flatten(cell)
-        moved = tuple((p + s) % n for p, s, n in zip(flat, shifts, sizes))
-        out[_unflatten(moved, f.grid)] = v
-    return StepFunction(f.grid, out)
-
-
-def dilate(f: StepFunction, a, p) -> StepFunction:
-    """Periodic dilation ``x -> a**(-d/p) f((x/a) mod 1)`` for ``a = 2**s``.
-
-    Only single-parameter grids dilate (multi-parameter grids scale each
-    parameter independently, which is a different operation).  Shrinking
-    (``a < 1``) requires ``f`` to be resolvable on the coarser cells that
-    map onto one output cell, otherwise the result would leave the grid.
-    """
-    if f.grid.t != 1:
-        raise ValueError("dilation is defined for single-parameter grids")
-    a = Fraction(a)
-    if a <= 0:
-        raise ValueError("dilation factor must be positive")
-    num, den = a.numerator, a.denominator
-    if num & (num - 1) or den & (den - 1):
-        raise ValueError("dilation factor must be a power of 2")
-    s = num.bit_length() - den.bit_length()  # a = 2**s
-    d = f.grid.dims[0]
-    # amplitude a**(-d/p): exponent -s*d/p must be a half-integer
-    if p == float("inf"):
-        amp_num = 0
-    else:
-        p = Fraction(p)
-        if p < 1:
-            raise ValueError("p must be >= 1")
-        expo = Fraction(-2 * s * d, 1) / p  # twice the exponent of 2
-        if expo.denominator != 1:
-            raise UnsupportedExponentError(
-                f"2**({-s * d}/{p}) is not representable in the dyadic ring"
-            )
-        amp_num = int(expo)
-    from .scalar import sqrt2_pow
-
-    amp = sqrt2_pow(amp_num)
-    n = 1 << f.grid.depth[0]
-    out = {}
-    if s >= 0:
-        # stretch: one source cell per output cell
-        for cell in f.grid.cells():
-            q = cell[0]
-            src = tuple(((pj >> s) if s else pj) for pj in q)
-            v = f.value_at((src,))
-            if not v.is_zero:
-                out[cell] = v * amp
-    else:
-        m = -s
-        block = 1 << m
-        if block > n:
-            raise ValueError("dilation finer than the grid")
-        for cell in f.grid.cells():
-            q = cell[0]
-            base = tuple((pj << m) % n for pj in q)
-            # every source cell in the block must agree, else the result
-            # is not a step function at this depth
-            first = None
-            for offs in itertools.product(range(block), repeat=d):
-                src = tuple((bj + oj) % n for bj, oj in zip(base, offs))
-                w = f.value_at((src,))
-                if first is None:
-                    first = w
-                elif w != first:
-                    raise ValueError(
-                        "function is not resolvable at this dilation scale"
-                    )
-            if first is not None and not first.is_zero:
-                out[cell] = first * amp
-    return StepFunction(f.grid, out)
-
-
-def translate_dilate(f: StepFunction, y, a, p) -> StepFunction:
-    """Dilate then translate: the composition that carries the base Haar
-    profile onto a target cube.  Both steps wrap periodically."""
-    return translate(dilate(f, a, p), y)

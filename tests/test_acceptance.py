@@ -118,7 +118,7 @@ def test_criterion_3_tensor_splitting():
         (ShiftMap.preset(1, "first-child"), ShiftMap.preset(1, "rotating")),
         (
             ShiftMap.preset(1, "rotating"),
-            ShiftMap.preset(1, {"child": 1}, "identity"),
+            ShiftMap.preset(1, ("child", 1), "identity"),
         ),
     ]
     for m1, m2 in pairs:

@@ -133,7 +133,7 @@ def test_case_table_sample_d2():
 
 def test_case_with_killed_signature():
     g = GridSpec((2,), (3,))
-    smap = ShiftMap.preset(2, "first-child", {"kill": [0, 1]})
+    smap = ShiftMap.preset(2, "first-child", ("kill", (0, 1)))
     for pair in [((0, 1), (0, 1)), ((0, 1), (1, 0)), ((0, 0), (0, 1))]:
         e, ep = pair
         got = case_evaluate(g, cube(0, (0, 0), 2), e, cube(0, (0, 0), 2), ep, smap)
@@ -281,7 +281,7 @@ def test_decomposition_exact_d2():
 
 def test_decomposition_exact_with_kill():
     g = GridSpec((2,), (3,))
-    D = decompose([ShiftMap.preset(2, "first-child", {"kill": [0, 1]})], g)
+    D = decompose([ShiftMap.preset(2, "first-child", ("kill", (0, 1)))], g)
     for seed in range(5):
         rng = np.random.default_rng(seed)
         b = random_haar_function(g, rng, max_levels=(1,))

@@ -10,6 +10,7 @@ from dyadlab.haar import (
     HaarExpansion,
     analyze,
     haar_basis_keys,
+    haar_cell_value,
     haar_coefficient,
     haar_function,
     basis_function,
@@ -18,7 +19,7 @@ from dyadlab.haar import (
     square_function_sq,
     synthesize,
 )
-from dyadlab.scalar import SQRT2, ZERO, Scalar
+from dyadlab.scalar import ONE, SQRT2, ZERO, Scalar
 from dyadlab.stepfn import StepFunction
 
 
@@ -190,28 +191,15 @@ def test_lp_norm_examples():
     assert cross.l2_norm_sq() == Scalar(1)
 
 
-def test_haar_matches_translate_dilate_on_every_interval():
-    # the base profile carried by dilation+translation agrees with the
-    # Haar function on each target interval (periodic copies lie outside)
-    from fractions import Fraction
-
-    from dyadlab.stepfn import translate_dilate
-
+def test_haar_is_rescaled_mother_on_every_interval():
+    # model convention: h_{k,p}(x) = 2**(k/2) h(2**k x - p), with the mother
+    # function h = -1 on [0, 1/2) and +1 on [1/2, 1)
     g = GridSpec((1,), (3,))
-    base = haar_function(g, g.unit_rectangle(), ((0,),))
     for k in range(3):
         for p in range(1 << k):
             rect = interval(k, p)
-            moved = translate_dilate(
-                base, (Fraction(p, 1 << k),), Fraction(1, 1 << k), 2
-            )
-            target = haar_function(g, rect, ((0,),))
             for cell in rect.cell_keys(g.depth):
-                assert moved.value_at(cell) == target.value_at(cell), (k, p)
-
-
-def test_expansion_json_roundtrip():
-    rng = np.random.default_rng(3)
-    f = random_haar_function(G11, rng, include_mean=True)
-    e = analyze(f)
-    assert HaarExpansion.loads(e.dumps()) == e
+                rescaled = (cell[0][0] - p * (1 << (3 - k))) * (1 << k)
+                mother = -ONE if rescaled < 4 else ONE
+                expected = SQRT2 ** k * mother
+                assert haar_cell_value(g, rect, ((0,),), cell) == expected, (k, p, cell)

@@ -1,4 +1,3 @@
-import json
 from fractions import Fraction
 
 import numpy as np
@@ -91,16 +90,6 @@ def test_sign_flip_changes_by_twice_the_term():
     c2 = haar_coefficient(f, target, ((0,),))
     term = c1 * c2 * target.inv_sqrt_volume() * haar_function(G1, target, ((1,),))
     assert base - flipped == term * Scalar(2)
-
-
-def test_spec_json_roundtrip():
-    spec = ParaproductSpec(((0,), (1,)), ((1,), (0,)), ((0,), (0,)))
-    data = spec.to_json()
-    back = ParaproductSpec.from_json(json.dumps(data))
-    assert back == spec
-    seeded = ParaproductSpec(((0,),), ((0,),), ((1,),), random_signs(G1, 3))
-    back2 = ParaproductSpec.from_json(seeded.to_json(), grid=G1)
-    assert back2.signs == seeded.signs
 
 
 # -- BMO ------------------------------------------------------------------------

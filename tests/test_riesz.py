@@ -86,7 +86,7 @@ def test_sample_matches_exact_shift_module():
     # t=1, y=0 reproduces the canonical-grid shift in the cell basis
     n = 16
     g = GridSpec((1,), (4,))
-    smap = ShiftMap.preset(1, {"child": 0}, "identity")
+    smap = ShiftMap.preset(1, ("child", 0), "identity")
     ts = TensorShift.single(smap)
     cells = list(g.cells())
     exact = np.zeros((n, n))

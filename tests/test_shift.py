@@ -51,7 +51,7 @@ def test_cube_rule_injective_depth3():
 def test_sig_rules():
     smap = ShiftMap.preset(2, "first-child", "cyclic")
     assert smap.sigma_sig((0, 1)) == (1, 0)
-    kill = ShiftMap.preset(2, "first-child", {"kill": [0, 1]})
+    kill = ShiftMap.preset(2, "first-child", ("kill", (0, 1)))
     assert kill.sigma_sig((0, 1)) is None
     assert kill.sigma_sig((1, 0)) == (1, 0)
     ident = ShiftMap.preset(2, "first-child")
@@ -124,7 +124,7 @@ def test_contraction_random_and_equality_condition():
 def test_contraction_with_kill():
     rng = np.random.default_rng(3)
     grid = GridSpec((2,), (2,))
-    smap = ShiftMap.preset(2, "first-child", {"kill": [1, 0]})
+    smap = ShiftMap.preset(2, "first-child", ("kill", (1, 0)))
     for _ in range(10):
         f = random_haar_function(grid, rng)
         qf, _ = tensor_apply_counting(TensorShift.single(smap), f)
@@ -210,19 +210,31 @@ def test_duality_bound_random_pairs():
         assert lhs <= rhs + 1e-9
 
 
-def test_shift_map_json_roundtrip():
-    for cube, sig in [
-        ("first-child", "identity"),
-        ("rotating", "cyclic"),
-        ({"child": 1}, {"kill": [0]}),
-        ({"levels": {"0": 1, "2": 0}, "default": 1}, "identity"),
-    ]:
-        d = 1 if not isinstance(sig, dict) or len(sig.get("kill", [0])) == 1 else 2
-        smap = ShiftMap.preset(d, cube, sig)
-        assert ShiftMap.from_json(smap.to_json()) == smap
+@pytest.mark.parametrize(
+    "d, cube, sig",
+    [
+        (2, "first-child", ("kill", (1, 1))),  # kill target not strict
+        (2, "first-child", ("kill", (0,))),  # kill target of the wrong length
+        (1, "first-child", ("kill", [0])),  # kill target not a tuple: never matches
+        (1, ("child", 5), "identity"),  # child index past 2**d
+        (1, ("bogus",), "identity"),
+        (1, "first-child", ("bogus",)),
+        (1, {"child": 1}, "identity"),  # dict forms are gone
+        (1, "first-child", {"kill": [0]}),
+        (1, ("table", ((0, 1),), 0), "identity"),  # level tables are gone
+    ],
+)
+def test_shift_map_rejects_bad_rules(d, cube, sig):
+    with pytest.raises(ValueError):
+        ShiftMap.preset(d, cube, sig)
+    with pytest.raises(ValueError):
+        ShiftMap(d, cube, sig)
 
 
-def test_level_table_rule():
-    smap = ShiftMap.preset(1, {"levels": {"0": 1}, "default": 0})
-    assert smap.sigma_cube(unit_cube(1)) == DyadicCube(1, 1, (1,))
-    assert smap.sigma_cube(DyadicCube(1, 1, (1,))) == DyadicCube(1, 2, (2,))
+def test_shift_map_stores_names_as_tuples():
+    smap = ShiftMap(2, "rotating", "cyclic")
+    assert (smap.cube_rule, smap.sig_rule) == (("rotating",), ("cyclic",))
+    assert smap == ShiftMap.preset(2, ("rotating",), ("cyclic",))
+    child = ShiftMap.preset(1, ("child", 1), ("kill", (0,)))
+    assert child.sigma_cube(unit_cube(1)) == DyadicCube(1, 1, (1,))
+    assert child.sigma_sig((0,)) is None

@@ -1,26 +1,13 @@
-from fractions import Fraction
-
 import numpy as np
 import pytest
 
 from dyadlab.grid import GridSpec
-from dyadlab.scalar import SQRT2, Scalar
-from dyadlab.stepfn import (
-    StepFunction,
-    UnsupportedExponentError,
-    dilate,
-    translate,
-    translate_dilate,
-)
-from dyadlab.haar import haar_function
+from dyadlab.scalar import Scalar
+from dyadlab.stepfn import StepFunction
 
 
 def grid1(depth=2):
     return GridSpec((1,), (depth,))
-
-
-def h0(grid):
-    return haar_function(grid, grid.unit_rectangle(), ((0,),))
 
 
 def test_arithmetic_exact():
@@ -44,73 +31,6 @@ def test_norms_and_integral():
     assert f.lp_norm(1) == pytest.approx(2.0)
     assert f.lp_norm(2) == pytest.approx(np.sqrt(5.0))
     assert f.lp_norm(float("inf")) == pytest.approx(3.0)
-
-
-def test_translate_identity_and_wrap():
-    g = grid1()
-    f = h0(g)
-    assert translate(f, (0,)) == f
-    shifted = translate(f, (Fraction(1, 4),))
-    assert shifted.value_at(((0,),)) == Scalar(1)  # wrapped from the right end
-    with pytest.raises(ValueError):
-        translate(f, (Fraction(1, 8),))  # finer than the grid
-
-
-def test_dilate_identity():
-    g = grid1()
-    f = h0(g)
-    assert dilate(f, 1, 2) == f
-
-
-def test_dilate_half_of_base_haar():
-    # shrink by a=1/2 at p=2: amplitude sqrt2, profile repeats periodically
-    g = grid1()
-    f = h0(g)
-    out = dilate(f, Fraction(1, 2), 2)
-    vals = [out.value_at(((i,),)) for i in range(4)]
-    assert vals == [-SQRT2, SQRT2, -SQRT2, SQRT2]
-
-
-def test_dilate_matches_haar_on_target_cube():
-    # the dilated-translated base profile agrees with the Haar function on
-    # its cube; outside it the periodic copies remain
-    from dyadlab.grid import DyadicCube, DyadicRectangle
-
-    g = grid1()
-    target = haar_function(g, DyadicRectangle((DyadicCube(1, 1, (0,)),)), ((0,),))
-    moved = translate_dilate(h0(g), (0,), Fraction(1, 2), 2)
-    for i in range(2):  # cells of [0, 1/2)
-        assert moved.value_at(((i,),)) == target.value_at(((i,),))
-
-
-def test_dilate_rejects_unresolvable():
-    g = grid1(1)
-    f = StepFunction(g, {((0,),): Scalar(1)})  # not constant at the half-cell scale
-    with pytest.raises(ValueError):
-        dilate(f, Fraction(1, 2), 2)
-
-
-def test_dilate_unsupported_exponent():
-    g = GridSpec((3,), (1,))
-    f = StepFunction.constant(g, 1)
-    assert dilate(f, Fraction(1, 2), 3).value_at(((0, 0, 0),)) == Scalar(2)
-    with pytest.raises(UnsupportedExponentError):
-        dilate(f, Fraction(1, 2), 4)  # 2**(3/4) leaves the ring
-
-
-def test_dilate_infinity_norm_keeps_amplitude():
-    g = grid1()
-    f = h0(g)
-    out = dilate(f, Fraction(1, 2), float("inf"))
-    assert out.value_at(((1,),)) == Scalar(1)
-
-
-def test_json_roundtrip():
-    g = GridSpec((1, 1), (1, 1))
-    f = StepFunction(
-        g, {(((0,), (1,))): Scalar(1, -2, 3), (((1,), (0,))): Scalar(5)}
-    )
-    assert StepFunction.loads(f.dumps()) == f
 
 
 def test_to_array_order():
