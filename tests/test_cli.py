@@ -324,9 +324,6 @@ def test_opnorm_nonconvergence_fails_closed(tmp_path, monkeypatch):
         ("opnorm", {"depths": [3], "seeds": [-1]}, [], "seeds"),
         ("opnorm", {"depths": [0, 3], "symbol": "single-haar"}, [], "symbol"),
         ("opnorm", {"depths": [3], "cube_rule": {"child": 5}}, [], "cube_rule"),
-        ("verify-decomposition", {"dims": [1], "depths": [1], "seeds": [0]}, [], "depths"),
-        ("verify-decomposition", {"dims": [1], "depths": [0], "seeds": [0]}, [], "depths"),
-        ("verify-decomposition", {"depths": [3], "max_levels": [-1]}, [], "max_levels"),
         (
             "verify-decomposition",
             {"dims": [1, 1], "depths": [3, 3], "cube_rules": ["first-child"]},
@@ -343,6 +340,9 @@ def test_opnorm_nonconvergence_fails_closed(tmp_path, monkeypatch):
             [],
             "symbol",
         ),
+        ("verify-decomposition", {"dims": [1], "depths": [1], "seeds": [0]}, [], "depths"),
+        ("verify-decomposition", {"dims": [1], "depths": [0], "seeds": [0]}, [], "depths"),
+        ("verify-decomposition", {"depths": [3], "max_levels": [-1]}, [], "max_levels"),
     ],
 )
 def test_bad_config_is_config_error(tmp_path, monkeypatch, capsys, command, cfg, flags, key):
