@@ -4,10 +4,11 @@ Two inner loops dominate the package's numeric runtime: the subset-lattice
 sum (zeta transform) behind the brute-force Carleson scan, and the power
 iteration behind operator norms.  Both are vectorized numpy.
 
-Everything exact stays exact: the zeta transform runs on int64 pairs
+Everything exact stays exact: the zeta transform runs on integer pairs
 ``(a, b)`` encoding ``a + b*sqrt(2)`` over a common power-of-two
-denominator; callers check the int64 bound first and fall back to
-:func:`_zeta_sos_loop` on Python lists of big integers when it fails.
+denominator.  :func:`zeta_sos` sums int64 arrays; when the caller's bound
+check says a sum could leave the int64 range, it passes numpy ``object``
+arrays of Python integers to :func:`_zeta_sos_loop` instead.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ BACKEND = "numpy"
 def _zeta_sos_loop(a, b, nbits):
     """In-place subset sums: after the call, ``a[u] = sum(a0[s] for s subset of u)``.
 
-    The arbitrary-precision fallback: works on plain Python lists (and on
-    numpy arrays, where :func:`zeta_sos` is faster).
+    The arbitrary-precision kernel: works on any indexable sequence of
+    integers, such as numpy ``object`` arrays or plain Python lists.
     """
     n = len(a)
     for i in range(nbits):

@@ -179,13 +179,19 @@ class HaarExpansion:
             total = total + c * c
         return total
 
-    def strict_sq_sum(self) -> Scalar:
-        """Sum of squared coefficients over all-strict keys only."""
-        total = ZERO
+    def strict_masses(self) -> dict:
+        """Per rectangle, the sum of squared coefficients over all-strict keys."""
+        masses: dict = {}
         for (rect, vecsig), c in self.coeffs.items():
             if all(is_strict(sig) for sig in vecsig):
-                total = total + c * c
-        return total
+                add = c * c
+                cur = masses.get(rect)
+                masses[rect] = add if cur is None else cur + add
+        return masses
+
+    def strict_sq_sum(self) -> Scalar:
+        """Sum of squared coefficients over all-strict keys only."""
+        return sum(self.strict_masses().values(), ZERO)
 
     def __eq__(self, other):
         if not isinstance(other, HaarExpansion):
@@ -479,17 +485,14 @@ def synthesize(e: HaarExpansion) -> StepFunction:
 def square_function_sq(f: StepFunction) -> StepFunction:
     """Pointwise square of the multi-parameter square function, exact.
 
-    Sums ``coeff**2 * 1_R / |R|`` over the all-strict keys; the square
-    root (a float) is taken by :func:`square_function`.
+    Sums ``mass_R * 1_R / |R|`` over the rectangles, with ``mass_R`` the
+    strict mass of :meth:`HaarExpansion.strict_masses`; the square root (a
+    float) is taken by :func:`square_function`.
     """
     grid = f.grid
-    e = analyze(f)
     values: dict = {}
-    for (rect, vecsig), c in e.coeffs.items():
-        if not all(is_strict(sig) for sig in vecsig):
-            continue
-        inv_vol = Scalar(1, 0, -sum(q.level * q.d for q in rect.factors))
-        add = c * c * inv_vol
+    for rect, mass in analyze(f).strict_masses().items():
+        add = mass * Scalar(1, 0, -sum(q.level * q.d for q in rect.factors))
         for cell in rect.cell_keys(grid.depth):
             cur = values.get(cell)
             values[cell] = add if cur is None else cur + add

@@ -9,10 +9,13 @@ each parameter carries at most one all-ones part among the three slots,
 and BMO-admissible when additionally the first slot is strict everywhere.
 
 The product BMO norm is a Carleson supremum over unions of finest cells.
-Three estimators are provided: an exact brute force over every nonempty
-cell subset (capped at 20 cells), a supremum over single rectangles, and
-a greedy union grower seeded at the best rectangle.  The brute force and
-the mode-monotonicity comparisons are exact.
+Three estimators are provided: a supremum over single rectangles, a
+greedy union grower seeded at the best rectangle, and an exact brute
+force over every nonempty cell subset (capped at 20 cells).  All three
+read one Carleson table per call, the finest cells as bit positions and
+one ``(cell mask, strict mass)`` entry per rectangle, and compare ratios
+with one exact test; the brute force and the mode-monotonicity
+comparisons are exact.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._kernels import popcounts, zeta_sos
+from ._kernels import _zeta_sos_loop, popcounts, zeta_sos
 from .errors import CapExceededError
 from .grid import (
     DyadicCube,
@@ -174,7 +177,7 @@ class BmoEstimate:
             return True
         if other.cell_count == 0:
             return self.mass.is_zero
-        return self.mass * other.cell_count <= other.mass * self.cell_count
+        return not _ratio_gt(self.mass, self.cell_count, other.mass, other.cell_count)
 
     def sq_value(self, grid: GridSpec) -> tuple[Fraction, Fraction]:
         if self.cell_count == 0:
@@ -184,174 +187,95 @@ class BmoEstimate:
         return a / den, b / den
 
 
-def _rect_masses(b: StepFunction):
-    """Strict coefficient mass per rectangle: sum over strict signatures."""
-    e = analyze(b)
-    masses: dict = {}
-    for (rect, vecsig), c in e.coeffs.items():
-        if not all(is_strict(sig) for sig in vecsig):
-            continue
-        cur = masses.get(rect)
-        add = c * c
-        masses[rect] = add if cur is None else cur + add
-    return masses
-
-
-def _mass_inside(masses, region: DyadicRectangle) -> Scalar:
-    total = ZERO
-    for rect, m in masses.items():
-        if region.contains(rect):
-            total = total + m
-    return total
-
-
 def _ratio_gt(mass_a: Scalar, count_a: int, mass_b: Scalar, count_b: int) -> bool:
     """Exact comparison mass_a/count_a > mass_b/count_b (counts positive)."""
     return mass_a * count_b > mass_b * count_a
 
 
-def _rectangle_sup(b: StepFunction, masses):
-    grid = b.grid
+def _mass_of(entries, mask: int) -> Scalar:
+    """Exact mass of the table rectangles whose cells all lie in ``mask``."""
+    total = ZERO
+    for rmask, m in entries:
+        if rmask & mask == rmask:
+            total = total + m
+    return total
+
+
+def _rectangle_sup(grid: GridSpec, mask_of, entries):
+    """Best single rectangle; the first of equal ratios in enumeration order."""
     best = None
     for region in enumerate_rectangles(grid):
-        mass = _mass_inside(masses, region)
-        count = 1
-        for cube, n, d in zip(region.factors, grid.depth, grid.dims):
-            count <<= (n - cube.level) * d
+        mask = mask_of(region)
+        mass = _mass_of(entries, mask)
+        count = mask.bit_count()
         if best is None or _ratio_gt(mass, count, best[0], best[1]):
-            best = (mass, count, region)
-    mass, count, region = best
-    witness = frozenset(region.cell_keys(grid.depth))
-    return mass, count, witness
+            best = (mass, count, mask)
+    return best
 
 
-def _greedy_union(b: StepFunction, masses):
-    grid = b.grid
-    mass, count, witness = _rectangle_sup(b, masses)
-    cells = list(grid.cells())
-    cell_index = {c: i for i, c in enumerate(cells)}
-    rect_masks = []
-    for rect, m in masses.items():
-        mask = 0
-        for cell in rect.cell_keys(grid.depth):
-            mask |= 1 << cell_index[cell]
-        rect_masks.append((mask, m))
-    cur_mask = 0
-    for cell in witness:
-        cur_mask |= 1 << cell_index[cell]
-
-    def mass_of(mask):
-        total = ZERO
-        for rmask, m in rect_masks:
-            if rmask & mask == rmask:
-                total = total + m
-        return total
-
+def _greedy_union(grid: GridSpec, mask_of, entries):
+    """Grow the best rectangle by the heaviest cell while the ratio improves."""
+    mass, count, mask = _rectangle_sup(grid, mask_of, entries)
     while True:
         best_step = None
-        for i in range(len(cells)):
+        for i in range(grid.cell_count):
             bit = 1 << i
-            if cur_mask & bit:
+            if mask & bit:
                 continue
-            m = mass_of(cur_mask | bit)
+            m = _mass_of(entries, mask | bit)
             if best_step is None or m > best_step[0]:
-                best_step = (m, i)
-        if best_step is None:
-            break
-        m, i = best_step
-        if _ratio_gt(m, count + 1, mass, count):
-            cur_mask |= 1 << i
-            mass = m
-            count += 1
-        else:
-            break
-    witness = frozenset(c for i, c in enumerate(cells) if cur_mask & (1 << i))
-    return mass, count, witness
+                best_step = (m, bit)
+        if best_step is None or not _ratio_gt(best_step[0], count + 1, mass, count):
+            return mass, count, mask
+        mass, bit = best_step
+        mask |= bit
+        count += 1
 
 
 _INT64_BOUND = 1 << 62
 
 
-def _exact_bruteforce(b: StepFunction, masses, cap_bits: int):
-    grid = b.grid
-    cells = list(grid.cells())
-    ncells = len(cells)
-    if ncells > cap_bits:
-        raise CapExceededError(
-            f"{ncells} cells exceed the exact-mode cap of {cap_bits}"
-        )
-    cell_index = {c: i for i, c in enumerate(cells)}
-    entries = []
-    max_e = 0
-    for rect, m in masses.items():
-        mask = 0
-        for cell in rect.cell_keys(grid.depth):
-            mask |= 1 << cell_index[cell]
-        entries.append((mask, m))
-        max_e = max(max_e, m.e)
-    n_subsets = 1 << ncells
-    scaled = [
-        (mask, m.m << (max_e - m.e), m.n << (max_e - m.e)) for mask, m in entries
-    ]
-    bound_a = sum(abs(a) for _, a, _ in scaled)
-    bound_b = sum(abs(bb) for _, _, bb in scaled)
+def _exact_bruteforce(ncells: int, entries):
+    """Best ratio over every nonempty cell subset, by one zeta transform.
 
-    if bound_a < _INT64_BOUND and bound_b < _INT64_BOUND:
-        a = np.zeros(n_subsets, dtype=np.int64)
-        bvec = np.zeros(n_subsets, dtype=np.int64)
-        for mask, am, bm in scaled:
-            a[mask] += am
-            bvec[mask] += bm
+    Masses are put over their common denominator ``2**e`` as integer pairs
+    ``(a, b)``.  The arrays are int64 when the absolute sums stay below
+    2**62, else numpy object arrays of Python integers summed by
+    :func:`_zeta_sos_loop`.  On int64 a float pass keeps the subsets within
+    1e-9 of the float maximum; on big integers every subset stays.  One
+    exact selection then picks the best ratio, then fewer cells, then the
+    lower mask.
+    """
+    e = max(m.e for _, m in entries)
+    scaled = [(mask, m.m << (e - m.e), m.n << (e - m.e)) for mask, m in entries]
+    fits = all(sum(abs(x[k]) for x in scaled) < _INT64_BOUND for k in (1, 2))
+    n_subsets = 1 << ncells
+    a = np.zeros(n_subsets, dtype=np.int64 if fits else object)
+    bvec = np.zeros_like(a)
+    for mask, am, bm in scaled:
+        a[mask] += am
+        bvec[mask] += bm
+    pc = popcounts(n_subsets)
+    if fits:
         zeta_sos(a, bvec, ncells)
-        pc = popcounts(n_subsets)
         with np.errstate(invalid="ignore"):
             vals = (a.astype(np.float64) + bvec.astype(np.float64) * _SQRT2) / np.maximum(pc, 1)
         vals[0] = -np.inf
         vmax = float(vals.max())
-        tol = abs(vmax) * 1e-9 + 1e-300
-        candidates = np.nonzero(vals >= vmax - tol)[0]
-        best = None
-        for u in candidates:
-            u = int(u)
-            cand = (int(a[u]), int(bvec[u]), int(pc[u]), u)
-            if best is None or _pair_ratio_gt(cand, best) or (
-                not _pair_ratio_gt(best, cand)
-                and (cand[2], cand[3]) < (best[2], best[3])
-            ):
-                best = cand
-        am, bm, count, umask = best
+        candidates = np.nonzero(vals >= vmax - (abs(vmax) * 1e-9 + 1e-300))[0]
     else:
-        # big-integer fallback: same zeta transform on Python lists
-        a = [0] * n_subsets
-        bvec = [0] * n_subsets
-        for mask, am, bm in scaled:
-            a[mask] += am
-            bvec[mask] += bm
-        from ._kernels import _zeta_sos_loop
-
         _zeta_sos_loop(a, bvec, ncells)
-        best = None
-        for u in range(1, n_subsets):
-            cand = (a[u], bvec[u], bin(u).count("1"), u)
-            if best is None or _pair_ratio_gt(cand, best) or (
-                not _pair_ratio_gt(best, cand)
-                and (cand[2], cand[3]) < (best[2], best[3])
-            ):
-                best = cand
-        am, bm, count, umask = best
-
-    mass = Scalar(am, bm, max_e)
-    witness = frozenset(c for i, c in enumerate(cells) if umask & (1 << i))
-    return mass, count, witness
-
-
-def _pair_ratio_gt(x, y) -> bool:
-    """(a1 + b1*sqrt2)/c1 > (a2 + b2*sqrt2)/c2 for positive integer counts."""
-    a1, b1, c1, _ = x
-    a2, b2, c2, _ = y
-    m = a1 * c2 - a2 * c1
-    n = b1 * c2 - b2 * c1
-    return Scalar(m, n, 0) > 0
+        candidates = range(1, n_subsets)
+    best = None
+    for u in candidates:
+        u = int(u)
+        cand = (Scalar(int(a[u]), int(bvec[u]), e), int(pc[u]), u)
+        if best is None or (
+            not _ratio_gt(*best[:2], *cand[:2])
+            and (_ratio_gt(*cand[:2], *best[:2]) or cand[1:] < best[1:])
+        ):
+            best = cand
+    return best
 
 
 def bmo_norm(b: StepFunction, mode: str = "greedy-union", cap_bits: int = 20) -> BmoEstimate:
@@ -367,17 +291,31 @@ def bmo_norm(b: StepFunction, mode: str = "greedy-union", cap_bits: int = 20) ->
     if mode not in BMO_MODES:
         raise ValueError(f"unknown mode {mode!r}")
     grid = b.grid
-    masses = _rect_masses(b)
+    masses = analyze(b).strict_masses()
     if not masses:
         return BmoEstimate(mode, 0.0, frozenset(), ZERO, 0)
+    cells = list(grid.cells())
+    if mode == "exact-bruteforce" and len(cells) > cap_bits:
+        raise CapExceededError(
+            f"{len(cells)} cells exceed the exact-mode cap of {cap_bits}"
+        )
+    index = {c: i for i, c in enumerate(cells)}
+
+    def mask_of(rect: DyadicRectangle) -> int:
+        mask = 0
+        for cell in rect.cell_keys(grid.depth):
+            mask |= 1 << index[cell]
+        return mask
+
+    entries = [(mask_of(rect), m) for rect, m in masses.items()]
     if mode == "rectangle-sup":
-        mass, count, witness = _rectangle_sup(b, masses)
+        mass, count, mask = _rectangle_sup(grid, mask_of, entries)
     elif mode == "greedy-union":
-        mass, count, witness = _greedy_union(b, masses)
+        mass, count, mask = _greedy_union(grid, mask_of, entries)
     else:
-        mass, count, witness = _exact_bruteforce(b, masses, cap_bits)
-    measure = count * float(grid.cell_volume)
-    value = float(np.sqrt(float(mass) / measure)) if count else 0.0
+        mass, count, mask = _exact_bruteforce(len(cells), entries)
+    witness = frozenset(c for i, c in enumerate(cells) if mask >> i & 1)
+    value = float(np.sqrt(float(mass) / (count * float(grid.cell_volume))))
     return BmoEstimate(mode, value, witness, mass, count)
 
 

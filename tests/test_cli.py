@@ -95,6 +95,19 @@ def test_verify_decomposition_ok(tmp_path):
     assert run(["verify-decomposition", "--config", cfg]) == cli.EXIT_OK
 
 
+def test_verify_decomposition_zero_input_not_checked(tmp_path, capsys):
+    # seed 1 draws b = f = 0 on this grid: the identity holds vacuously
+    cfg = write_config(
+        tmp_path, {"schema_version": 1, "dims": [1], "depths": [2], "seeds": [1]}
+    )
+    out = tmp_path / "out"
+    assert run(["verify-decomposition", "--config", cfg, "--out", str(out)]) == cli.EXIT_VERIFY
+    assert capsys.readouterr().out.strip().endswith("0 failures, 1 not checked")
+    report = json.loads((out / "verify_decomposition.json").read_text())
+    assert report["meta"]["failures"] == 0 and report["meta"]["not_checked"] == 1
+    assert report["rows"] == [{"seed": 1, "zero_residual": None, "residual_cells": None}]
+
+
 def test_unresolvable_preset_rejected(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -384,11 +397,32 @@ def test_unread_flag_rejected(tmp_path, command, flags):
 
 
 CONFIGS = sorted((Path(__file__).parents[1] / "configs").glob("*.json"))
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def shipped_command(path):
+    # each configs/<command>_*.json is named after the command it drives
+    return next(c for c in cli._COMMANDS if path.stem.startswith(c.replace("-", "_")))
 
 
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
 def test_shipped_config_resolves(path, capsys):
-    # each configs/<command>_*.json is named after the command it drives
-    command = next(c for c in cli._COMMANDS if path.stem.startswith(c.replace("-", "_")))
+    command = shipped_command(path)
     assert run([command, "--config", str(path), "--dry-run"]) == cli.EXIT_OK
     assert json.loads(capsys.readouterr().out)["plan"]["command"] == command
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
+def test_shipped_config_runs(path, tmp_path):
+    command = shipped_command(path)
+    argv = [command, "--config", str(path), "--out", str(tmp_path)]
+    if command == "ratio":
+        argv += ["--fixtures", str(FIXTURES / "opnorm_oracle.json")]
+    assert run(argv) == cli.EXIT_OK
+    name = command.replace("-", "_")
+    assert (tmp_path / f"{name}.csv").is_file()
+    meta = json.loads((tmp_path / f"{name}.json").read_text())["meta"]
+    if command == "verify-cases":
+        assert meta["summary"]["mismatches"] == 0
+    elif command == "verify-decomposition":
+        assert meta["failures"] == 0 and meta["not_checked"] == 0
