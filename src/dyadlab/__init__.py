@@ -37,7 +37,6 @@ from .shift import (
     TensorShift,
     tensor_apply_counting,
     matrix_in_haar_basis,
-    matrix_to_float,
 )
 from .paraproduct import (
     ParaproductSpec,
@@ -57,6 +56,7 @@ from .commutator import (
     Decomposition,
     DecompositionTerm,
     verify_decomposition,
+    commutator_matrix,
     operator_norm,
     norm_ratio_experiment,
     single_haar_symbol,

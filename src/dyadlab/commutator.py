@@ -21,9 +21,11 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
+from .errors import CapExceededError
 from .grid import (
     DyadicCube,
     DyadicRectangle,
@@ -32,16 +34,16 @@ from .grid import (
     sig_xnor,
     strict_signatures,
 )
-from .haar import haar_function, random_haar_function
+from .haar import (
+    analyze,
+    basis_function,
+    haar_basis_keys,
+    haar_function,
+    random_haar_function,
+)
 from .paraproduct import ParaproductSpec, apply_paraproduct, bmo_norm
 from .scalar import Scalar, sqrt2_pow
-from .shift import (
-    ShiftMap,
-    TensorShift,
-    matrix_in_haar_basis,
-    matrix_to_float,
-    tensor_apply_counting,
-)
+from .shift import ShiftMap, TensorShift, shift_key, tensor_apply_counting
 from .stepfn import StepFunction
 from ._kernels import power_iteration
 
@@ -61,6 +63,7 @@ __all__ = [
     "combine_descriptors",
     "OperatorNormResult",
     "NORM_METHODS",
+    "commutator_matrix",
     "operator_norm",
     "norm_ratio_experiment",
     "single_haar_symbol",
@@ -181,6 +184,13 @@ def case_evaluate(
     return out
 
 
+def _slot(ts: TensorShift, s: int) -> TensorShift:
+    """The shift of parameter ``s`` alone, the identity elsewhere."""
+    parts = [None] * ts.t
+    parts[s] = ts.parts[s]
+    return TensorShift(tuple(parts))
+
+
 def commutator_apply(b: StepFunction, ts: TensorShift, f: StepFunction) -> StepFunction:
     """Iterated bracket of multiplication by ``b`` with one shift per parameter."""
     grid = f.grid
@@ -189,15 +199,10 @@ def commutator_apply(b: StepFunction, ts: TensorShift, f: StepFunction) -> StepF
     if any(p is None for p in ts.parts):
         return StepFunction.zero(grid)  # bracket with the identity vanishes
 
-    def slot(s: int) -> TensorShift:
-        parts = [None] * grid.t
-        parts[s] = ts.parts[s]
-        return TensorShift(tuple(parts))
-
     def rec(s: int, g: StepFunction) -> StepFunction:
         if s == 0:
             return b * g
-        q = slot(s - 1)
+        q = _slot(ts, s - 1)
         return (
             rec(s - 1, tensor_apply_counting(q, g)[0])
             - tensor_apply_counting(q, rec(s - 1, g))[0]
@@ -443,6 +448,77 @@ def single_haar_symbol(grid: GridSpec) -> StepFunction:
 NORM_METHODS = ("power", "svd")
 
 
+@lru_cache(maxsize=16)
+def _basis_index(grid: GridSpec) -> dict:
+    """Position of every key in :func:`haar_basis_keys` order."""
+    return {key: i for i, key in enumerate(haar_basis_keys(grid))}
+
+
+def _shift_index_map(q: TensorShift, grid: GridSpec) -> list:
+    """The shift ``q`` as a partial map of basis indices: entry ``j`` is
+    the index of the shifted ``j``-th key, or ``None`` where
+    :func:`shift_key` drops it."""
+    index = _basis_index(grid)
+    out = []
+    for key in haar_basis_keys(grid):
+        shifted = shift_key(q, key, grid.depth)[0]
+        out.append(None if shifted is None else index[shifted])
+    return out
+
+
+def _bracket_column(cols: list, q: list, j: int) -> dict:
+    """Column ``j`` of ``C*Q - Q*C`` for sparse exact columns ``cols`` of
+    ``C`` and the index map ``q`` of ``Q``."""
+    out = {} if q[j] is None else dict(cols[q[j]])
+    for i, c in cols[j].items():
+        qi = q[i]
+        if qi is None:
+            continue
+        cur = out.get(qi)
+        out[qi] = -c if cur is None else cur - c
+    return {i: c for i, c in out.items() if not c.is_zero}
+
+
+def commutator_matrix(
+    b: StepFunction, ts: TensorShift, grid: GridSpec, cap: int = 4096
+) -> np.ndarray:
+    """Float matrix of ``f -> commutator_apply(b, ts, f)`` in the ordered
+    Haar basis (:func:`haar_basis_keys`; column ``j`` is the image of the
+    ``j``-th key).
+
+    The matrix is built exactly in coefficient space.  Column ``j`` of M_b
+    is ``analyze(b * h_j)``, stored sparse.  Each shifted parameter ``s``
+    is a 0/1 index map Q_s from :func:`shift_key`, and ``C <- C*Q_s -
+    Q_s*C`` for ``s = 1..t`` is the nesting of :func:`commutator_apply`.
+    Each nonzero exact entry is then rounded once.  Fails like
+    ``commutator_apply`` on mismatched input, after the ``cap`` check.
+    """
+    keys = haar_basis_keys(grid)
+    size = len(keys)
+    if size > cap:
+        raise CapExceededError(f"basis size {size} exceeds cap {cap}")
+    if b.grid != grid or ts.t != grid.t:
+        raise ValueError("grid/shift arity mismatch")
+    out = np.zeros((size, size))
+    if any(p is None for p in ts.parts):
+        return out  # bracket with the identity vanishes
+    index = _basis_index(grid)
+    cols = []
+    for key in keys:
+        e = analyze(b * basis_function(grid, key))
+        col = {index[k]: c for k, c in e.coeffs.items()}
+        if not e.mean.is_zero:
+            col[0] = e.mean
+        cols.append(col)
+    for s in range(grid.t):
+        q = _shift_index_map(_slot(ts, s), grid)
+        cols = [_bracket_column(cols, q, j) for j in range(size)]
+    for j, col in enumerate(cols):
+        for i, c in col.items():
+            out[i, j] = float(c)
+    return out
+
+
 def operator_norm(
     b: StepFunction,
     ts: TensorShift,
@@ -453,11 +529,16 @@ def operator_norm(
     seed: int = 0,
     cap: int = 4096,
 ) -> OperatorNormResult:
-    """Largest singular value of ``f -> commutator(b, f)`` in the Haar basis."""
+    """Largest singular value of ``f -> commutator(b, f)`` in the Haar basis.
+
+    The matrix comes from :func:`commutator_matrix`: exact sparse M_b and
+    shift index maps, each entry rounded once.  ``svd`` takes the largest
+    singular value of the dense matrix; ``power`` runs power iteration from
+    a start vector seeded by ``seed``.
+    """
     if method not in NORM_METHODS:
         raise ValueError(f"unknown method {method!r}")
-    mat = matrix_in_haar_basis(lambda f: commutator_apply(b, ts, f), grid, cap)
-    a = matrix_to_float(mat)
+    a = commutator_matrix(b, ts, grid, cap)
     if method == "svd":
         value = float(np.linalg.svd(a, compute_uv=False)[0]) if a.size else 0.0
         return OperatorNormResult(value, 0, True, "svd")

@@ -9,16 +9,17 @@ coefficient to the shifted slot and kills the constant component; it is
 an exact L2 contraction.
 
 A :class:`TensorShift` holds one shift map per parameter, or ``None`` for
-the identity on that parameter.  :func:`tensor_apply_counting` is the one
-way to apply it: analyze, move coefficients, synthesize, and report how
-many coefficients the grid depth cut off.
+the identity on that parameter.  :func:`shift_key` is the one per-key
+rule: where a shift sends a Haar basis key, or why it drops it.
+:func:`tensor_apply_counting` applies a shift to a step function with that
+rule: analyze, move coefficients, synthesize, and report how many
+coefficients the grid depth cut off.  The commutator's Haar matrix reads
+the same rule as an index map.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import CapExceededError
 from .grid import DyadicCube, DyadicRectangle, GridSpec, is_strict
@@ -30,8 +31,8 @@ __all__ = [
     "ShiftMap",
     "TensorShift",
     "tensor_apply_counting",
+    "shift_key",
     "matrix_in_haar_basis",
-    "matrix_to_float",
 ]
 
 CUBE_PRESETS = ("first-child", "rotating")
@@ -133,47 +134,59 @@ class TensorShift:
         return [s for s, q in enumerate(self.parts) if q is not None]
 
 
+def shift_key(ts: TensorShift, key, depth) -> tuple:
+    """Where a tensor shift sends one Haar basis key, the per-key rule of
+    every shift: ``(shifted key, False)``, or ``(None, truncated)`` when
+    the key is dropped.
+
+    Each active parameter ``s`` in turn moves its slot to ``(sigma_cube,
+    sigma_sig)``.  The key is dropped at the first active parameter where
+    it is constant, where the signature rule kills it, or where the
+    shifted cube falls past ``depth[s] - 1``; ``truncated`` is True only
+    for that last reason.
+    """
+    rect, vecsig = key
+    cubes = list(rect.factors)
+    sigs = list(vecsig)
+    for s in ts.active_slots():
+        sig = sigs[s]
+        if not is_strict(sig):
+            return None, False  # constant component of parameter s
+        nsig = ts.parts[s].sigma_sig(sig)
+        if nsig is None:
+            return None, False
+        ncube = ts.parts[s].sigma_cube(cubes[s])
+        if ncube.level > depth[s] - 1:
+            return None, True
+        cubes[s] = ncube
+        sigs[s] = nsig
+    return (DyadicRectangle(tuple(cubes)), tuple(sigs)), False
+
+
 def tensor_apply_counting(ts: TensorShift, f: StepFunction):
     """Apply a tensor shift: ``(shifted step function, truncated)``, where
     ``truncated`` counts the coefficients lost to grid depth.
 
-    Signature kills are semantic zeros, not truncations, and are not
-    counted.  The constant slot of every shifted parameter is annihilated.
+    Analyzes ``f``, moves every coefficient by :func:`shift_key` (adding
+    coefficients that land on one key) and synthesizes.  Signature kills
+    are semantic zeros, not truncations, and are not counted.  The
+    constant slot of every shifted parameter is annihilated.
     """
     grid = f.grid
     if ts.t != grid.t:
         raise ValueError("tensor shift arity does not match the grid")
-    active = ts.active_slots()
-    if not active:
+    if not ts.active_slots():
         return f, 0
     e = analyze(f)
     out: dict = {}
     truncated = 0
-    for (rect, vecsig), c in e.coeffs.items():
-        cubes = list(rect.factors)
-        sigs = list(vecsig)
-        keep = True
-        for s in active:
-            sig = sigs[s]
-            if not is_strict(sig):
-                keep = False  # constant component of parameter s
-                break
-            nsig = ts.parts[s].sigma_sig(sig)
-            if nsig is None:
-                keep = False
-                break
-            ncube = ts.parts[s].sigma_cube(cubes[s])
-            if ncube.level > grid.depth[s] - 1:
-                truncated += 1
-                keep = False
-                break
-            cubes[s] = ncube
-            sigs[s] = nsig
-        if not keep:
+    for key, c in e.coeffs.items():
+        shifted, lost = shift_key(ts, key, grid.depth)
+        if shifted is None:
+            truncated += lost
             continue
-        key = (DyadicRectangle(tuple(cubes)), tuple(sigs))
-        cur = out.get(key)
-        out[key] = c if cur is None else cur + c
+        cur = out.get(shifted)
+        out[shifted] = c if cur is None else cur + c
     return synthesize(HaarExpansion(grid, ZERO, out)), truncated
 
 
@@ -195,7 +208,3 @@ def matrix_in_haar_basis(op, grid: GridSpec, cap: int = 4096):
         col = [e.mean] + [e.get(k) for k in keys[1:]]
         cols.append(col)
     return [[cols[j][i] for j in range(size)] for i in range(size)]
-
-
-def matrix_to_float(mat) -> np.ndarray:
-    return np.array([[float(x) for x in row] for row in mat], dtype=np.float64)

@@ -343,6 +343,40 @@ def test_opnorm_homogeneous_in_symbol():
     assert v2 == pytest.approx(5 * v1, rel=1e-12)
 
 
+def tensor_symbol(b1: StepFunction, b2: StepFunction) -> StepFunction:
+    """``b1(x) * b2(y)`` on the two-parameter grid of the two factors."""
+    grid = GridSpec(b1.grid.dims + b2.grid.dims, b1.grid.depth + b2.grid.depth)
+    return StepFunction(
+        grid,
+        {c1 + c2: v1 * v2 for c1, v1 in b1.values.items() for c2, v2 in b2.values.items()},
+    )
+
+
+def test_opnorm_t2_product_symbol_is_product_of_norms():
+    # [[M_b, Q1 x I], I x Q2] = [M_b1, Q1] x [M_b2, Q2] for b = b1 x b2
+    g1 = GridSpec((1,), (3,))
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        b1 = random_haar_function(g1, rng)
+        b2 = random_haar_function(g1, rng, include_mean=True)
+        b = tensor_symbol(b1, b2)
+        n1 = operator_norm(b1, TensorShift.single(FIRST), g1, method="svd").value
+        n2 = operator_norm(b2, TensorShift.single(ROT), g1, method="svd").value
+        n = operator_norm(b, TensorShift((FIRST, ROT)), b.grid, method="svd").value
+        assert n1 > 0 and n2 > 0
+        assert n == pytest.approx(n1 * n2, rel=1e-12, abs=0)
+
+
+def test_opnorm_t2_symbol_constant_in_one_parameter_is_zero():
+    g1 = GridSpec((1,), (3,))
+    b1 = random_haar_function(g1, np.random.default_rng(4))
+    one = StepFunction.constant(g1, Scalar(1))
+    for b in (tensor_symbol(b1, one), tensor_symbol(one, b1)):
+        for method in ("power", "svd"):
+            res = operator_norm(b, TensorShift((FIRST, ROT)), b.grid, method=method)
+            assert res.value == 0.0
+
+
 def test_single_haar_symbol_fixture_value():
     # dense-SVD oracle for the fixed family: the norm is sqrt(2) exactly
     g = GridSpec((1,), (4,))
