@@ -6,6 +6,12 @@ operator norms, direct runs for residuals and ratios) and frozen to JSON.
 The test suite then holds the production paths (power iteration, greedy
 BMO) to these numbers.  Rerun only when the recorded behavior is meant to
 change; commit the diff.
+
+A rerun reproduces the committed files to 1e-12 relative, not byte for
+byte: the Riesz residuals are float sums whose last digit depends on the
+BLAS build (0.679608857124994 against a committed 0.6796088571249939 has
+been seen).  ``tests/test_record_fixtures.py`` runs each fixture function
+into a temporary directory and holds it to that tolerance.
 """
 
 import json

@@ -113,30 +113,28 @@ _HORIZON = (
 )
 
 
-def _symbol_fits(symbol, c) -> bool:
-    """The symbol resolves on every grid of the run: each Haar factor has
-    its parameter's dimension and lies in the unit cube, strict factors
-    strictly above the finest level and the others at most on it."""
-    if "dims" in c:
-        grids = [(c["dims"], c["depths"])]
-    else:
-        grids = [((c["d"],), (n,)) for n in c["depths"]]
-    for dims, depths in grids:
-        if symbol == "single-haar" and 0 in depths:
-            return False
-        if isinstance(symbol, dict):
-            parts = zip(dims, depths, symbol["rect_levels"], symbol["rect_pos"], symbol["sigs"])
-            if len(dims) != len(symbol["sigs"]) or not all(
-                len(pos) == len(sig) == d
-                and 0 <= level <= (n - 1 if is_strict(sig) else n)
-                and all(0 <= p < 1 << level for p in pos)
-                for d, n, level, pos, sig in parts
-            ):
+def _fits(grids):
+    """The symbol resolves on every grid ``grids(c)`` of the run: each Haar
+    factor has its parameter's dimension and lies in the unit cube, strict
+    factors strictly above the finest level and the others at most on it."""
+
+    def fits(symbol, c) -> bool:
+        for grid in grids(c):
+            if symbol == "single-haar" and 0 in grid.depth:
                 return False
-    return True
+            if isinstance(symbol, dict):
+                parts = zip(grid.dims, grid.depth, symbol["rect_levels"],
+                            symbol["rect_pos"], symbol["sigs"])
+                if grid.t != len(symbol["sigs"]) or not all(
+                    len(pos) == len(sig) == d
+                    and 0 <= level <= (n - 1 if is_strict(sig) else n)
+                    and all(0 <= p < 1 << level for p in pos)
+                    for d, n, level, pos, sig in parts
+                ):
+                    return False
+        return True
 
-
-_FITS = (_symbol_fits, "be resolvable on every grid of the run")
+    return (fits, "be resolvable on every grid of the run")
 
 
 def _max_pair_depth(c):
@@ -160,6 +158,14 @@ class Field(NamedTuple):
     plan: bool = True
 
 
+# the product grid and its per-parameter shift rules, declared once for
+# every command that builds one shift per parameter
+_GRID_DIMS = Field("dims", _INTS, [1], _DIMS)
+_CUBE_RULES = Field("cube_rules", _list_of(CUBE_PRESETS),
+                    lambda c: ["first-child"] * len(c["dims"]), _per_dim())
+_SIG_RULES = Field("sig_rules", _list_of(SIG_PRESETS),
+                   lambda c: ["identity"] * len(c["dims"]), _per_dim())
+
 _SCHEMAS = {
     "verify-cases": (
         Field("d", _INT, 1, (lambda d, c: d in (1, 2), "be 1 or 2")),
@@ -171,14 +177,12 @@ _SCHEMAS = {
         Field("sig_rules", _list_of(SIG_PRESETS), ["identity"]),
     ),
     "verify-decomposition": (
-        Field("dims", _INTS, [1], _DIMS),
+        _GRID_DIMS,
         # a depth-1 grid draws no random coefficient: b = f = 0 checks nothing
         Field("depths", _INTS, [5], _per_dim(2)),
         Field("seeds", _INTS, list(range(100)), _at_least(0)),
-        Field("cube_rules", _list_of(CUBE_PRESETS), lambda c: ["first-child"] * len(c["dims"]),
-              _per_dim()),
-        Field("sig_rules", _list_of(SIG_PRESETS), lambda c: ["identity"] * len(c["dims"]),
-              _per_dim()),
+        _CUBE_RULES,
+        _SIG_RULES,
         Field("max_levels", _INTS, lambda c: [n - 2 for n in c["depths"]], _HORIZON),
     ),
     "bmo": (
@@ -186,24 +190,26 @@ _SCHEMAS = {
         Field("depths", _INTS, [2, 2], _per_dim(0)),
         Field("seeds", _INTS, list(range(10)), _at_least(0)),
         Field("modes", _list_of(para.BMO_MODES), ["rectangle-sup", "greedy-union"]),
-        Field("symbol", _SYMBOL, "random", _FITS),
+        Field("symbol", _SYMBOL, "random", _fits(lambda c: [GridSpec(c["dims"], c["depths"])])),
     ),
+    # opnorm and ratio sweep depths: depth n is GridSpec.uniform(dims, n)
     "opnorm": (
-        Field("d", _INT, 1, _at_least(1)),
+        _GRID_DIMS,
         Field("depths", _INTS, [4], _at_least(0)),
         Field("seeds", _INTS, [0], _at_least(0)),
-        Field("cube_rule", _one_of(CUBE_PRESETS), "first-child"),
-        Field("sig_rule", _one_of(SIG_PRESETS), "identity"),
-        Field("symbol", _SYMBOL, "random", _FITS),
+        _CUBE_RULES,
+        _SIG_RULES,
+        Field("symbol", _SYMBOL, "random",
+              _fits(lambda c: [GridSpec.uniform(c["dims"], n) for n in c["depths"]])),
         Field("method", _one_of(comm.NORM_METHODS), "power"),
         Field("cap", _INT, 4096, _at_least(1)),
     ),
     "ratio": (
-        Field("d", _INT, 1, _at_least(1)),
+        _GRID_DIMS,
         Field("depths", _INTS, [3, 4], _at_least(0)),
         Field("seeds", _INTS, list(range(10)), _at_least(0)),
-        Field("cube_rule", _one_of(CUBE_PRESETS), "first-child"),
-        Field("sig_rule", _one_of(SIG_PRESETS), "identity"),
+        _CUBE_RULES,
+        _SIG_RULES,
         Field("bmo_mode", _one_of(para.BMO_MODES), "greedy-union"),
         Field("method", _one_of(comm.NORM_METHODS), "power"),
     ),
@@ -251,8 +257,9 @@ def _load_config(args) -> tuple[dict, dict]:
     """Resolve ``args.config`` against the command's schema, fail-closed.
 
     Returns the plan and the command's other inputs: the fields left out of
-    the plan and, for ``ratio``, the ``--fixtures`` family.  ``--seed-list``
-    replaces the config's seeds and is checked the same way.
+    the plan and, for ``ratio``, the ``--fixtures`` family, which holds
+    ``dims [1]`` ratios only.  ``--seed-list`` replaces the config's seeds
+    and is checked the same way.
     """
     raw = _read_json_object(args.config, "config")
     version = raw.pop("schema_version", None)
@@ -279,6 +286,8 @@ def _load_config(args) -> tuple[dict, dict]:
     plan.update((f.name, resolved[f.name]) for f in fields if f.plan)
     inputs = {f.name: resolved[f.name] for f in fields if not f.plan}
     if getattr(args, "fixtures", None) is not None:
+        if resolved["dims"] != [1]:
+            raise ConfigError(f"fixtures hold dims [1] ratios only, got dims {resolved['dims']}")
         inputs["fixtures"] = _read_fixtures(args.fixtures)
     return plan, inputs
 
@@ -346,13 +355,17 @@ def cmd_verify_cases(plan: dict, out) -> int:
     return EXIT_OK if not rows else EXIT_VERIFY
 
 
+def _shift_maps(plan: dict) -> list[ShiftMap]:
+    """One shift per parameter, from the plan's ``cube_rules`` and ``sig_rules``."""
+    return [
+        ShiftMap.preset(dim, cube, sig)
+        for dim, cube, sig in zip(plan["dims"], plan["cube_rules"], plan["sig_rules"])
+    ]
+
+
 def cmd_verify_decomposition(plan: dict, out) -> int:
     grid = GridSpec(plan["dims"], plan["depths"])
-    maps = [
-        ShiftMap.preset(d, c, s)
-        for d, c, s in zip(plan["dims"], plan["cube_rules"], plan["sig_rules"])
-    ]
-    D = comm.decompose(maps, grid)
+    D = comm.decompose(_shift_maps(plan), grid)
     max_levels = tuple(plan["max_levels"])
     rows = []
     for seed in plan["seeds"]:
@@ -414,11 +427,10 @@ def cmd_bmo(plan: dict, out) -> int:
 
 
 def cmd_opnorm(plan: dict, out) -> int:
-    d = plan["d"]
-    ts = TensorShift.single(ShiftMap.preset(d, plan["cube_rule"], plan["sig_rule"]))
+    ts = TensorShift(_shift_maps(plan))
     rows = []
     for depth in plan["depths"]:
-        grid = GridSpec((d,), (depth,))
+        grid = GridSpec.uniform(plan["dims"], depth)
         for seed in plan["seeds"]:
             b = _symbol_from_config(plan["symbol"], grid, np.random.default_rng(seed))
             res = comm.operator_norm(b, ts, grid, method=plan["method"], cap=plan["cap"])
@@ -434,11 +446,8 @@ def cmd_opnorm(plan: dict, out) -> int:
 
 
 def cmd_ratio(plan: dict, out, fixtures=None) -> int:
-    d, bmo_mode, method = plan["d"], plan["bmo_mode"], plan["method"]
-    rows = comm.norm_ratio_experiment(
-        plan["depths"], plan["seeds"], d=d, cube_rule=plan["cube_rule"],
-        sig_rule=plan["sig_rule"], bmo_mode=bmo_mode, method=method,
-    )
+    maps, bmo_mode, method = _shift_maps(plan), plan["bmo_mode"], plan["method"]
+    rows = comm.norm_ratio_experiment(plan["depths"], plan["seeds"], maps, bmo_mode, method)
     out_rows = [
         {
             "seed": r["seed"],
@@ -452,13 +461,13 @@ def cmd_ratio(plan: dict, out, fixtures=None) -> int:
     ]
     stalled = sum(1 for r in rows if r["converged"] is False)
     mismatch = 0
-    ts = TensorShift.single(ShiftMap.preset(d, plan["cube_rule"], plan["sig_rule"]))
+    ts = TensorShift(maps)
     family = fixtures or {}
     for depth in plan["depths"]:
         if str(depth) not in family:
             continue
         expected = family[str(depth)]["ratio"]
-        grid = GridSpec((d,), (depth,))
+        grid = GridSpec.uniform(plan["dims"], depth)
         b = comm.single_haar_symbol(grid)
         res = comm.operator_norm(b, ts, grid, method=method)
         got = res.value / para.bmo_norm(b, bmo_mode).value

@@ -446,6 +446,10 @@ def single_haar_symbol(grid: GridSpec) -> StepFunction:
 
 
 NORM_METHODS = ("power", "svd")
+# power iteration: relative tolerance, step limit and start-vector seed
+POWER_TOL = 1e-10
+POWER_MAX_ITER = 10000
+POWER_SEED = 0
 
 
 @lru_cache(maxsize=16)
@@ -524,9 +528,6 @@ def operator_norm(
     ts: TensorShift,
     grid: GridSpec,
     method: str = "power",
-    tol: float = 1e-10,
-    max_iter: int = 10000,
-    seed: int = 0,
     cap: int = 4096,
 ) -> OperatorNormResult:
     """Largest singular value of ``f -> commutator(b, f)`` in the Haar basis.
@@ -534,7 +535,8 @@ def operator_norm(
     The matrix comes from :func:`commutator_matrix`: exact sparse M_b and
     shift index maps, each entry rounded once.  ``svd`` takes the largest
     singular value of the dense matrix; ``power`` runs power iteration from
-    a start vector seeded by ``seed``.
+    a start vector seeded by ``POWER_SEED``, to relative tolerance
+    ``POWER_TOL`` in at most ``POWER_MAX_ITER`` steps.
     """
     if method not in NORM_METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -542,58 +544,46 @@ def operator_norm(
     if method == "svd":
         value = float(np.linalg.svd(a, compute_uv=False)[0]) if a.size else 0.0
         return OperatorNormResult(value, 0, True, "svd")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(POWER_SEED)
     v0 = rng.standard_normal(a.shape[0])
-    sigma, iters, converged = power_iteration(a, v0, tol, max_iter)
+    sigma, iters, converged = power_iteration(a, v0, POWER_TOL, POWER_MAX_ITER)
     return OperatorNormResult(float(sigma), int(iters), bool(converged), "power")
 
 
 def norm_ratio_experiment(
     depths,
     seeds,
-    d: int = 1,
-    cube_rule="first-child",
-    sig_rule="identity",
+    maps=(ShiftMap(1, "first-child", "identity"),),
     bmo_mode: str = "greedy-union",
     method: str = "power",
 ):
     """Commutator norm over BMO norm for seeded random symbols.
 
-    Returns one row per (depth, seed); rows with no strict content in the
-    symbol are skipped (ratio ``None``, no iteration run, ``converged``
-    ``None``).  Every other row carries the operator-norm iteration count
-    and whether it converged.  Ratios are invariant under scaling of the
-    symbol.
+    ``maps`` holds one shift per parameter; depth ``n`` means ``n`` levels
+    in every parameter (:meth:`GridSpec.uniform`).  Returns one row per
+    (depth, seed); rows with no strict content in the symbol are skipped
+    (ratio ``None``, no iteration run, ``converged`` ``None``).  Every
+    other row carries the operator-norm iteration count and whether it
+    converged.  Ratios are invariant under scaling of the symbol.
     """
+    dims = tuple(smap.d for smap in maps)
+    ts = TensorShift(maps)
     rows = []
     for depth in depths:
-        grid = GridSpec((d,), (depth,))
-        smap = ShiftMap.preset(d, cube_rule, sig_rule)
-        ts = TensorShift.single(smap)
+        grid = GridSpec.uniform(dims, depth)
         for seed in seeds:
-            rng = np.random.default_rng(seed)
-            b = random_haar_function(grid, rng)
+            b = random_haar_function(grid, np.random.default_rng(seed))
             est = bmo_norm(b, bmo_mode)
             if est.value == 0.0:
-                rows.append(
-                    {
-                        "seed": seed,
-                        "depth": depth,
-                        "ratio": None,
-                        "bmo_mode": bmo_mode,
-                        "opnorm": 0.0,
-                        "bmo": 0.0,
-                        "iterations": 0,
-                        "converged": None,
-                    }
-                )
-                continue
-            res = operator_norm(b, ts, grid, method=method)
+                ratio, res = None, OperatorNormResult(0.0, 0, None, method)
+            else:
+                res = operator_norm(b, ts, grid, method=method)
+                ratio = res.value / est.value
             rows.append(
                 {
                     "seed": seed,
                     "depth": depth,
-                    "ratio": res.value / est.value,
+                    "ratio": ratio,
                     "bmo_mode": bmo_mode,
                     "opnorm": res.value,
                     "bmo": est.value,

@@ -209,6 +209,12 @@ class GridSpec:
         if any(n < 0 for n in self.depth):
             raise ValueError("depths must be >= 0")
 
+    @classmethod
+    def uniform(cls, dims, depth: int) -> "GridSpec":
+        """The grid with finest level ``depth`` in every parameter: one
+        step of a depth sweep."""
+        return cls(dims, (depth,) * len(dims))
+
     @property
     def t(self) -> int:
         return len(self.dims)

@@ -241,14 +241,16 @@ def _exact_bruteforce(ncells: int, entries):
     Masses are put over their common denominator ``2**e`` as integer pairs
     ``(a, b)``.  The arrays are int64 when the absolute sums stay below
     2**62, else numpy object arrays of Python integers summed by
-    :func:`_zeta_sos_loop`.  On int64 a float pass keeps the subsets within
-    1e-9 of the float maximum; on big integers every subset stays.  One
-    exact selection then picks the best ratio, then fewer cells, then the
-    lower mask.
+    :func:`_zeta_sos_loop`.  On int64 a float pass keeps every subset whose
+    float ratio lies within a proven rounding bound of the float maximum, so
+    no subset that can be the exact best is dropped; on big integers every
+    subset stays.  One exact selection then picks the best ratio, then fewer
+    cells, then the lower mask.
     """
     e = max(m.e for _, m in entries)
     scaled = [(mask, m.m << (e - m.e), m.n << (e - m.e)) for mask, m in entries]
-    fits = all(sum(abs(x[k]) for x in scaled) < _INT64_BOUND for k in (1, 2))
+    abs_a, abs_b = (sum(abs(x[k]) for x in scaled) for k in (1, 2))
+    fits = abs_a < _INT64_BOUND and abs_b < _INT64_BOUND
     n_subsets = 1 << ncells
     a = np.zeros(n_subsets, dtype=np.int64 if fits else object)
     bvec = np.zeros_like(a)
@@ -258,11 +260,19 @@ def _exact_bruteforce(ncells: int, entries):
     pc = popcounts(n_subsets)
     if fits:
         zeta_sos(a, bvec, ncells)
-        with np.errstate(invalid="ignore"):
-            vals = (a.astype(np.float64) + bvec.astype(np.float64) * _SQRT2) / np.maximum(pc, 1)
+        vals = (a.astype(np.float64) + bvec.astype(np.float64) * _SQRT2) / np.maximum(pc, 1)
         vals[0] = -np.inf
-        vmax = float(vals.max())
-        candidates = np.nonzero(vals >= vmax - (abs(vmax) * 1e-9 + 1e-300))[0]
+        # With u = 2**-53 and |d_i| <= u, the float ratio of subset S is
+        # (a(1+d1) + b*sqrt2(1+d2)(1+d3)(1+d4))(1+d5)/p * (1+d6): a, b,
+        # sqrt2, the product, the sum and the quotient each round once.  So
+        # it is within (3|a| + 5|b|sqrt2) u/p + O(u**2) <= 5.1 (|a| +
+        # |b|sqrt2) u/p of the exact ratio, and |a| <= abs_a, |b| <= abs_b,
+        # p >= 1 bound that by E = 5.1 (abs_a + abs_b*sqrt2) u for every S.
+        # The exact best is then within 2E of the float maximum.  The window
+        # takes 16 for 2 * 5.1; the rest covers its own roundings.  (A bound
+        # per subset costs seven times this filter's time on 2**16 subsets.)
+        window = 16 * 2.0**-53 * (abs_a + abs_b * _SQRT2)
+        candidates = np.nonzero(vals >= vals.max() - window)[0]
     else:
         _zeta_sos_loop(a, bvec, ncells)
         candidates = range(1, n_subsets)
@@ -278,7 +288,11 @@ def _exact_bruteforce(ncells: int, entries):
     return best
 
 
-def bmo_norm(b: StepFunction, mode: str = "greedy-union", cap_bits: int = 20) -> BmoEstimate:
+# largest grid, in finest cells, that ``exact-bruteforce`` accepts
+EXACT_CAP_BITS = 20
+
+
+def bmo_norm(b: StepFunction, mode: str = "greedy-union") -> BmoEstimate:
     """Estimate of the product BMO norm of ``b``.
 
     The supremum ranges over unions of finest cells (the open sets of the
@@ -286,7 +300,7 @@ def bmo_norm(b: StepFunction, mode: str = "greedy-union", cap_bits: int = 20) ->
     ``greedy-union`` grows the best rectangle one cell at a time while the
     Carleson ratio improves, so it always dominates ``rectangle-sup``;
     ``exact-bruteforce`` enumerates all nonempty subsets and dominates
-    both (grids with more than ``cap_bits`` cells are rejected).
+    both (grids with more than ``EXACT_CAP_BITS`` cells are rejected).
     """
     if mode not in BMO_MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -295,9 +309,9 @@ def bmo_norm(b: StepFunction, mode: str = "greedy-union", cap_bits: int = 20) ->
     if not masses:
         return BmoEstimate(mode, 0.0, frozenset(), ZERO, 0)
     cells = list(grid.cells())
-    if mode == "exact-bruteforce" and len(cells) > cap_bits:
+    if mode == "exact-bruteforce" and len(cells) > EXACT_CAP_BITS:
         raise CapExceededError(
-            f"{len(cells)} cells exceed the exact-mode cap of {cap_bits}"
+            f"{len(cells)} cells exceed the exact-mode cap of {EXACT_CAP_BITS}"
         )
     index = {c: i for i, c in enumerate(cells)}
 

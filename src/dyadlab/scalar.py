@@ -8,7 +8,10 @@ ring.  :class:`Scalar` stores the triple directly, so equality, ordering
 and hashing are exact and fast (plain integer arithmetic, no gcd).
 
 Floats and :class:`fractions.Fraction` views are available for reporting,
-but no routine in this module ever rounds.
+but no routine in this module ever rounds.  The float view does not
+cancel: when ``m`` and ``n*sqrt(2)`` have opposite signs it divides by the
+conjugate, so a small unit such as ``(3 - 2*sqrt(2))**6`` keeps every
+digit.
 """
 
 from __future__ import annotations
@@ -77,8 +80,19 @@ class Scalar:
         return self.rational_part, self.root2_part
 
     def __float__(self) -> float:
-        den = 1 << self.e
-        return self.m / den + (self.n / den) * _SQRT2_FLOAT
+        m, n, e = self.m, self.n, self.e
+        if m * n >= 0:
+            den = 1 << e
+            return m / den + (n / den) * _SQRT2_FLOAT
+        # m + n*sqrt2 = (m*m - 2*n*n) / (m - n*sqrt2): the numerator is an
+        # exact integer and the two terms of the denominator share a sign, so
+        # nothing cancels.  The denominator is kept as an integer scaled by
+        # 2**64 (floor of the root: relative error below 2**-64), and one
+        # integer true division, correctly rounded and free of intermediate
+        # overflow, gives the float.
+        root = math.isqrt(2 * n * n << 128)
+        den = (m << 64) + (root if m > 0 else -root)
+        return ((m * m - 2 * n * n) << 64) / (den << e)
 
     @property
     def is_zero(self) -> bool:

@@ -139,7 +139,7 @@ def test_verify_decomposition_horizon_rejected(tmp_path):
 def test_seed_list_override_and_determinism(tmp_path):
     cfg = write_config(
         tmp_path,
-        {"schema_version": 1, "d": 1, "depths": [3], "seeds": [9, 9, 9]},
+        {"schema_version": 1, "dims": [1], "depths": [3], "seeds": [9, 9, 9]},
     )
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
@@ -192,7 +192,7 @@ def test_opnorm_constant_symbol(tmp_path):
         tmp_path,
         {
             "schema_version": 1,
-            "d": 1,
+            "dims": [1],
             "depths": [3],
             "seeds": [0],
             "symbol": "constant",
@@ -207,7 +207,7 @@ def test_opnorm_constant_symbol(tmp_path):
 def test_opnorm_cap_exit(tmp_path):
     cfg = write_config(
         tmp_path,
-        {"schema_version": 1, "d": 1, "depths": [4], "seeds": [0], "cap": 4},
+        {"schema_version": 1, "dims": [1], "depths": [4], "seeds": [0], "cap": 4},
     )
     assert run(["opnorm", "--config", cfg]) == cli.EXIT_CAP
 
@@ -218,7 +218,7 @@ def test_ratio_fixture_comparison(tmp_path):
         json.dumps({"single_haar": {"3": {"ratio": 2 ** 0.5}}})
     )
     cfg = write_config(
-        tmp_path, {"schema_version": 1, "d": 1, "depths": [3], "seeds": [0]}
+        tmp_path, {"schema_version": 1, "dims": [1], "depths": [3], "seeds": [0]}
     )
     assert (
         run(["ratio", "--config", cfg, "--fixtures", str(fixture)]) == cli.EXIT_OK
@@ -267,7 +267,7 @@ def test_verify_decomposition_rejects_untyped_lists(tmp_path, capsys, bad):
 
 def test_opnorm_rejects_string_depths(tmp_path, capsys):
     cfg = write_config(
-        tmp_path, {"schema_version": 1, "d": 1, "depths": ["3"], "seeds": [0]}
+        tmp_path, {"schema_version": 1, "dims": [1], "depths": ["3"], "seeds": [0]}
     )
     assert run(["opnorm", "--config", cfg]) == cli.EXIT_CONFIG
     assert "must be a list of integers" in capsys.readouterr().err
@@ -294,7 +294,7 @@ def _stalled_power_iteration(monkeypatch):
 def test_ratio_nonconvergence_fails_closed(tmp_path, monkeypatch):
     _stalled_power_iteration(monkeypatch)
     cfg = write_config(
-        tmp_path, {"schema_version": 1, "d": 1, "depths": [3], "seeds": [0, 1]}
+        tmp_path, {"schema_version": 1, "dims": [1], "depths": [3], "seeds": [0, 1]}
     )
     out = tmp_path / "r"
     assert run(["ratio", "--config", cfg, "--out", str(out)]) == cli.EXIT_VERIFY
@@ -308,7 +308,7 @@ def test_ratio_nonconvergence_fails_closed(tmp_path, monkeypatch):
 
 def test_ratio_rows_carry_convergence(tmp_path):
     cfg = write_config(
-        tmp_path, {"schema_version": 1, "d": 1, "depths": [3], "seeds": [0]}
+        tmp_path, {"schema_version": 1, "dims": [1], "depths": [3], "seeds": [0]}
     )
     out = tmp_path / "r"
     assert run(["ratio", "--config", cfg, "--out", str(out)]) == cli.EXIT_OK
@@ -316,10 +316,44 @@ def test_ratio_rows_carry_convergence(tmp_path):
     assert row["converged"] is True and row["iterations"] > 0
 
 
+# two parameters: first-child in the first, rotating in the second
+T2 = {"dims": [1, 1], "depths": [3, 4], "seeds": [0], "cube_rules": ["first-child", "rotating"]}
+
+
+def opnorm_values(tmp_path, name, cfg):
+    path = write_config(tmp_path, {"schema_version": 1, **cfg}, f"{name}.json")
+    out = tmp_path / name
+    assert run(["opnorm", "--config", path, "--out", str(out)]) == cli.EXIT_OK
+    return [float(r["opnorm"]) for r in json.loads((out / "opnorm.json").read_text())["rows"]]
+
+
+def test_opnorm_product_symbol_is_product_of_factors(tmp_path):
+    # b = b1 x b2 gives [[M_b, Q1 x I], I x Q2] = [M_b1, Q1] x [M_b2, Q2]
+    symbol = {"rect_levels": [1, 0], "rect_pos": [[1], [0]], "sigs": [[0], [0]]}
+    product = opnorm_values(tmp_path, "t2", {**T2, "method": "svd", "symbol": symbol})
+    one = {"dims": [1], "depths": [3, 4], "seeds": [0], "method": "svd"}
+    first = opnorm_values(tmp_path, "first", {
+        **one, "cube_rules": ["first-child"],
+        "symbol": {"rect_levels": [1], "rect_pos": [[1]], "sigs": [[0]]},
+    })
+    second = opnorm_values(tmp_path, "second", {
+        **one, "cube_rules": ["rotating"], "symbol": "single-haar",
+    })
+    assert len(product) == 2
+    assert product == pytest.approx([a * b for a, b in zip(first, second)], rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("method", ["power", "svd"])
+def test_opnorm_symbol_constant_in_one_parameter_is_zero(tmp_path, method):
+    symbol = {"rect_levels": [0, 0], "rect_pos": [[0], [0]], "sigs": [[1], [0]]}
+    values = opnorm_values(tmp_path, "t2", {**T2, "method": method, "symbol": symbol})
+    assert values == [0.0, 0.0]
+
+
 def test_opnorm_nonconvergence_fails_closed(tmp_path, monkeypatch):
     _stalled_power_iteration(monkeypatch)
     cfg = write_config(
-        tmp_path, {"schema_version": 1, "d": 1, "depths": [3], "seeds": [0]}
+        tmp_path, {"schema_version": 1, "dims": [1], "depths": [3], "seeds": [0]}
     )
     assert run(["opnorm", "--config", cfg]) == cli.EXIT_VERIFY
 
@@ -336,7 +370,7 @@ def test_opnorm_nonconvergence_fails_closed(tmp_path, monkeypatch):
         ("riesz", {"samples": 2, "n": 12}, [], "n must"),
         ("opnorm", {"depths": [3], "seeds": [-1]}, [], "seeds"),
         ("opnorm", {"depths": [0, 3], "symbol": "single-haar"}, [], "symbol"),
-        ("opnorm", {"depths": [3], "cube_rule": {"child": 5}}, [], "cube_rule"),
+        ("opnorm", {"depths": [3], "cube_rules": [{"child": 5}]}, [], "cube_rule"),
         (
             "verify-decomposition",
             {"dims": [1, 1], "depths": [3, 3], "cube_rules": ["first-child"]},
@@ -356,6 +390,12 @@ def test_opnorm_nonconvergence_fails_closed(tmp_path, monkeypatch):
         ("verify-decomposition", {"dims": [1], "depths": [1], "seeds": [0]}, [], "depths"),
         ("verify-decomposition", {"dims": [1], "depths": [0], "seeds": [0]}, [], "depths"),
         ("verify-decomposition", {"depths": [3], "max_levels": [-1]}, [], "max_levels"),
+        (
+            "ratio",
+            {"dims": [1, 1], "depths": [3]},
+            ["--fixtures", str(Path(__file__).parent / "fixtures" / "opnorm_oracle.json")],
+            "fixtures",
+        ),
     ],
 )
 def test_bad_config_is_config_error(tmp_path, monkeypatch, capsys, command, cfg, flags, key):
@@ -416,7 +456,8 @@ def test_shipped_config_resolves(path, capsys):
 def test_shipped_config_runs(path, tmp_path):
     command = shipped_command(path)
     argv = [command, "--config", str(path), "--out", str(tmp_path)]
-    if command == "ratio":
+    if command == "ratio" and json.loads(path.read_text())["dims"] == [1]:
+        # the single-Haar fixtures hold dims [1] ratios only
         argv += ["--fixtures", str(FIXTURES / "opnorm_oracle.json")]
     assert run(argv) == cli.EXIT_OK
     name = command.replace("-", "_")

@@ -1,12 +1,18 @@
 from fractions import Fraction
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dyadlab import paraproduct
 from dyadlab.errors import CapExceededError
 from dyadlab.grid import DyadicCube, DyadicRectangle, GridSpec, enumerate_rectangles
 from dyadlab.haar import haar_coefficient, haar_function, random_haar_function
 from dyadlab.paraproduct import (
+    BMO_MODES,
     ParaproductSpec,
     apply_paraproduct,
     bmo_norm,
@@ -165,6 +171,46 @@ def test_bmo_exact_bigint_path_matches_kernel():
     scaled = bmo_norm(big, "exact-bruteforce")
     assert scaled.witness == small.witness
     assert scaled.mass == small.mass * Scalar(1 << 80)
+
+
+UNIT = Scalar(3, -2)  # 3 - 2*sqrt2: its powers make a + b*sqrt2 cancel
+
+
+def assert_ordered_and_finite(b):
+    rect, greedy, exact = (bmo_norm(b, mode) for mode in BMO_MODES)
+    assert rect.sq_leq(greedy) and greedy.sq_leq(exact)
+    assert all(math.isfinite(est.value) for est in (rect, greedy, exact))
+    return exact
+
+
+def test_bmo_modes_on_a_cancelling_symbol():
+    # x on one cell and -x on the other, x = (99 - 70*sqrt2)**3 ~ 1.3e-7
+    x = Scalar(99, -70) ** 3
+    grid = GridSpec((1,), (1,))
+    left, right = grid.cells()
+    exact = assert_ordered_and_finite(StepFunction(grid, {left: x, right: -x}))
+    assert exact.cell_count == 2 and float(exact.mass) > 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([((1,), (1,)), ((1,), (2,)), ((1,), (3,)), ((2,), (1,)),
+                     ((1, 1), (1, 1)), ((1, 1), (2, 1)), ((3,), (1,))]),
+    st.integers(0, 6),
+    st.integers(0, 2**32 - 1),
+)
+def test_bmo_exact_prefilter_matches_every_subset(shape, k, seed):
+    # u * (3 - 2*sqrt2)**k per cell, u = (m + n*sqrt2) / 2**e drawn uniformly
+    grid = GridSpec(*shape)
+    rng = np.random.default_rng(seed)
+    b = StepFunction(grid, {
+        cell: Scalar(*map(int, rng.integers((-3, -3, 0), (4, 4, 3)))) * UNIT ** k
+        for cell in grid.cells()
+    })
+    exact = assert_ordered_and_finite(b)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(paraproduct, "_INT64_BOUND", 0)  # the big-integer path keeps every subset
+        assert bmo_norm(b, "exact-bruteforce") == exact
 
 
 def test_empirical_bound_single_haar_ratio_one():

@@ -42,6 +42,29 @@ def test_float_view_matches_fractions(a):
     assert math.isclose(float(a), float(r) + float(s) * math.sqrt(2), abs_tol=1e-12)
 
 
+def reference_float(x: Scalar) -> float:
+    """``(m + n*sqrt2) / 2**e`` through an integer square root 256 bits deep."""
+    root = math.isqrt(2 * x.n * x.n << 512)
+    num = (x.m << 256) + (root if x.n > 0 else -root)
+    return float(Fraction(num, 1 << (256 + x.e)))
+
+
+@given(scalars(), st.integers(min_value=0, max_value=6), st.sampled_from([1, -1]))
+def test_float_view_of_unit_multiples_does_not_cancel(u, k, sign):
+    # (3 - 2*sqrt2)**k is a unit: m and n*sqrt2 grow while their sum shrinks
+    x = u * Scalar(3, -2) ** k * sign
+    want = reference_float(x)
+    assert abs(float(x) - want) <= 4 * math.ulp(want)
+
+
+def test_float_view_of_large_and_tiny_values():
+    x = Scalar(99, -70) ** 3  # ~1.2884e-07, from m = 3880899, n = -2744210
+    assert abs(float(x) - reference_float(x)) <= 4 * math.ulp(reference_float(x))
+    huge = Scalar(10**400, -(10**400) // 2, 1400)
+    assert float(huge) == pytest.approx(reference_float(huge), rel=1e-15)
+    assert float(Scalar(3, -2, 1200)) == 0.0
+
+
 @given(scalars(), scalars())
 def test_exact_order_matches_float(a, b):
     fa, fb = float(a), float(b)
