@@ -5,7 +5,8 @@ cap exceeded.  Configs carry ``schema_version: 1``.  Each command declares
 its config keys once, as typed and bounded :class:`Field` entries in
 ``_SCHEMAS``; a config is resolved against that table fail-closed (unknown
 keys are rejected) before anything is computed, and the result is the plan
-that ``--dry-run`` prints and every report records.  Exit 2 is for config
+that ``--dry-run`` prints and every report records: one entry per field, so
+a plan given back as a config reproduces its run.  Exit 2 is for config
 errors only: an exception raised while computing surfaces as a traceback.
 Reports are written as CSV with a header row plus a JSON mirror; identical
 configs and seeds reproduce identical files.
@@ -28,7 +29,7 @@ from . import paraproduct as para
 from . import riesz as rz
 from .errors import CapExceededError
 from .grid import DyadicCube, DyadicRectangle, GridSpec, is_strict, strict_signatures
-from .haar import haar_function, random_haar_function
+from .haar import BASIS_CAP, haar_function, random_haar_function
 from .shift import CUBE_PRESETS, SIG_PRESETS, ShiftMap, TensorShift
 from .stepfn import StepFunction
 
@@ -142,20 +143,15 @@ def _max_pair_depth(c):
 
 
 class Field(NamedTuple):
-    """One plan entry: its type, default and bound.
+    """One config key and plan entry: its type, default and bound.
 
     ``default`` is a value or a function of the fields resolved before it.
-    A field of type ``None`` is derived: the config cannot set it, and
-    ``default`` computes it.  ``key`` is the config key when it differs from
-    the plan key; ``plan=False`` fields go to the command but not the plan.
     """
 
     name: str
-    kind: tuple | None
+    kind: tuple
     default: Any
     bound: tuple | None = None
-    key: str | None = None
-    plan: bool = True
 
 
 # the product grid and its per-parameter shift rules, declared once for
@@ -169,10 +165,8 @@ _SIG_RULES = Field("sig_rules", _list_of(SIG_PRESETS),
 _SCHEMAS = {
     "verify-cases": (
         Field("d", _INT, 1, (lambda d, c: d in (1, 2), "be 1 or 2")),
-        Field("pair_depth", _INT, _max_pair_depth, key="depth", bound=(
+        Field("depth", _INT, _max_pair_depth, (
             lambda n, c: -1 <= n <= _max_pair_depth(c), "be from -1 to 4 (d=1) or 2 (d=2)")),
-        # headroom for second shifts of the deepest pairs
-        Field("grid_depth", None, lambda c: c["pair_depth"] + 3),
         Field("cube_rules", _list_of(CUBE_PRESETS), ["first-child", "rotating"]),
         Field("sig_rules", _list_of(SIG_PRESETS), ["identity"]),
     ),
@@ -202,7 +196,7 @@ _SCHEMAS = {
         Field("symbol", _SYMBOL, "random",
               _fits(lambda c: [GridSpec.uniform(c["dims"], n) for n in c["depths"]])),
         Field("method", _one_of(comm.NORM_METHODS), "power"),
-        Field("cap", _INT, 4096, _at_least(1)),
+        Field("cap", _INT, BASIS_CAP, _at_least(1)),
     ),
     "ratio": (
         _GRID_DIMS,
@@ -219,7 +213,7 @@ _SCHEMAS = {
         Field("samples", _INT, 64, _at_least(0)),
         Field("seeds", _INTS, list(range(5)), _at_least(0)),
         Field("component", _INT, 1, (lambda j, c: 0 <= j <= c["d"], "be from 0 to d")),
-        Field("gnuplot", _BOOL, False, plan=False),
+        Field("gnuplot", _BOOL, False),
     ),
 }
 
@@ -256,38 +250,34 @@ def _parse_seed_list(text: str):
 def _load_config(args) -> tuple[dict, dict]:
     """Resolve ``args.config`` against the command's schema, fail-closed.
 
-    Returns the plan and the command's other inputs: the fields left out of
-    the plan and, for ``ratio``, the ``--fixtures`` family, which holds
-    ``dims [1]`` ratios only.  ``--seed-list`` replaces the config's seeds
-    and is checked the same way.
+    Returns the plan and the command's other inputs: for ``ratio``, the
+    ``--fixtures`` family, which holds ``dims [1]`` ratios only.
+    ``--seed-list`` replaces the config's seeds and is checked the same way.
     """
     raw = _read_json_object(args.config, "config")
     version = raw.pop("schema_version", None)
     if not _is_int(version) or version != 1:
         raise ConfigError("config must declare schema_version 1")
     fields = _SCHEMAS[args.command]
-    unknown = set(raw) - {f.key or f.name for f in fields if f.kind is not None}
+    unknown = set(raw) - {f.name for f in fields}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     if getattr(args, "seed_list", None) is not None:
         raw["seeds"] = _parse_seed_list(args.seed_list)
-    resolved = {}
-    for f in fields:
-        key = f.key or f.name
-        value = raw.get(key, f.default)  # JSON values are never callable
-        if callable(value):
-            value = value(resolved)
-        if f.kind is not None and not f.kind[0](value):
-            raise ConfigError(f"{key} must be {f.kind[1]}, got {value!r}")
-        if f.bound is not None and not f.bound[0](value, resolved):
-            raise ConfigError(f"{key} must {f.bound[1]}, got {value!r}")
-        resolved[f.name] = sorted(value) if key == "seeds" else value
     plan = {"command": args.command}
-    plan.update((f.name, resolved[f.name]) for f in fields if f.plan)
-    inputs = {f.name: resolved[f.name] for f in fields if not f.plan}
+    for f in fields:
+        value = raw.get(f.name, f.default)  # JSON values are never callable
+        if callable(value):
+            value = value(plan)
+        if not f.kind[0](value):
+            raise ConfigError(f"{f.name} must be {f.kind[1]}, got {value!r}")
+        if f.bound is not None and not f.bound[0](value, plan):
+            raise ConfigError(f"{f.name} must {f.bound[1]}, got {value!r}")
+        plan[f.name] = sorted(value) if f.name == "seeds" else value
+    inputs = {}
     if getattr(args, "fixtures", None) is not None:
-        if resolved["dims"] != [1]:
-            raise ConfigError(f"fixtures hold dims [1] ratios only, got dims {resolved['dims']}")
+        if plan["dims"] != [1]:
+            raise ConfigError(f"fixtures hold dims [1] ratios only, got dims {plan['dims']}")
         inputs["fixtures"] = _read_fixtures(args.fixtures)
     return plan, inputs
 
@@ -309,8 +299,8 @@ def _write_reports(out_dir, name, fieldnames, rows, meta):
 
 # -- commands --------------------------------------------------------------------------
 #
-# Each command gets a resolved plan, the report directory (or None) and the
-# plan-less inputs of its schema; it only computes and reports.
+# Each command gets a resolved plan, the report directory (or None) and,
+# for ratio, the fixture family; it only computes and reports.
 
 
 _CASE_COLUMNS = ["cube_rule", "sig_rule", "case", "I", "eps", "Iprime", "epsprime", "status",
@@ -319,11 +309,12 @@ _CASE_COLUMNS = ["cube_rule", "sig_rule", "case", "I", "eps", "Iprime", "epsprim
 
 def cmd_verify_cases(plan: dict, out) -> int:
     d = plan["d"]
-    grid = GridSpec((d,), (plan["grid_depth"],))
+    # headroom for second shifts of the deepest pairs
+    grid = GridSpec((d,), (plan["depth"] + 3,))
     sigs = strict_signatures(d)
     cubes = [
         DyadicCube(d, k, pos)
-        for k in range(plan["pair_depth"] + 1)
+        for k in range(plan["depth"] + 1)
         for pos in itertools.product(range(1 << k), repeat=d)
     ]
     rows = []
@@ -488,7 +479,7 @@ def cmd_ratio(plan: dict, out, fixtures=None) -> int:
     return EXIT_OK if mismatch == 0 and stalled == 0 else EXIT_VERIFY
 
 
-def cmd_riesz(plan: dict, out, gnuplot: bool) -> int:
+def cmd_riesz(plan: dict, out) -> int:
     d, n = plan["d"], plan["n"]
     target = rz.riesz_matrix(d, n, plan["component"])
     rows = []
@@ -498,7 +489,7 @@ def cmd_riesz(plan: dict, out, gnuplot: bool) -> int:
         for m, r in enumerate(residuals):
             rows.append({"seed": seed, "M": m, "residual": repr(float(r))})
     _write_reports(out, "riesz", ["seed", "M", "residual"], rows, {"plan": plan})
-    if out is not None and gnuplot:
+    if out is not None and plan["gnuplot"]:
         with open(Path(out) / "riesz.dat", "w") as fh:
             fh.write("# seed M residual\n")
             for row in rows:

@@ -35,6 +35,7 @@ from .grid import (
     strict_signatures,
 )
 from .haar import (
+    BASIS_CAP,
     analyze,
     basis_function,
     haar_basis_keys,
@@ -484,7 +485,7 @@ def _bracket_column(cols: list, q: list, j: int) -> dict:
 
 
 def commutator_matrix(
-    b: StepFunction, ts: TensorShift, grid: GridSpec, cap: int = 4096
+    b: StepFunction, ts: TensorShift, grid: GridSpec, cap: int = BASIS_CAP
 ) -> np.ndarray:
     """Float matrix of ``f -> commutator_apply(b, ts, f)`` in the ordered
     Haar basis (:func:`haar_basis_keys`; column ``j`` is the image of the
@@ -510,10 +511,7 @@ def commutator_matrix(
     cols = []
     for key in keys:
         e = analyze(b * basis_function(grid, key))
-        col = {index[k]: c for k, c in e.coeffs.items()}
-        if not e.mean.is_zero:
-            col[0] = e.mean
-        cols.append(col)
+        cols.append({index[k]: c for k, c in e.coeffs.items()})
     for s in range(grid.t):
         q = _shift_index_map(_slot(ts, s), grid)
         cols = [_bracket_column(cols, q, j) for j in range(size)]
@@ -528,7 +526,7 @@ def operator_norm(
     ts: TensorShift,
     grid: GridSpec,
     method: str = "power",
-    cap: int = 4096,
+    cap: int = BASIS_CAP,
 ) -> OperatorNormResult:
     """Largest singular value of ``f -> commutator(b, f)`` in the Haar basis.
 

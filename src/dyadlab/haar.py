@@ -8,7 +8,7 @@ by the all-ones signature).  The tensor basis over all parameters is the
 product of these; a coefficient key is ``(DyadicRectangle, vector
 signature)`` where a parameter sitting in its constant slot contributes
 the unit cube with the all-ones signature.  The one key that is constant
-in *every* parameter is stored separately as the expansion ``mean``.
+in *every* parameter is :func:`mean_key`; its coefficient is the mean.
 
 Shift operators and the square function only look at the all-strict keys;
 paraproducts additionally consume renormalized averages, which are inner
@@ -24,8 +24,9 @@ the all-ones sum feeds the next level.  Values are Python ints over one
 shared power-of-two denominator, and each coefficient's ``|R|**(-1/2)`` is
 applied once at the end, as a power of sqrt(2) whose parity is that of
 ``sum(level * d)``.  :func:`synthesize` is the transpose, coarse to fine,
-and accepts all-ones keys at any level.  Cost follows the support of the
-input, not the size of the grid.  A restricted forward pass keeps one
+and accepts all-ones keys at any level; :func:`haar_function` and
+:func:`square_function_sq` are built with it.  Cost follows the support of
+the input, not the size of the grid.  A restricted forward pass keeps one
 signature per parameter and, for all-ones parts, the sums at every level
 including the cells (:func:`haar_pattern_sums`); paraproducts are computed
 from two such passes and one inverse pass (:func:`synthesize_patterns`).
@@ -68,6 +69,9 @@ __all__ = [
     "random_haar_function",
 ]
 
+# the largest ordered basis (haar_basis_keys) an operator matrix is built in
+BASIS_CAP = 4096
+
 
 # -- pointwise values ---------------------------------------------------------
 
@@ -105,10 +109,7 @@ def haar_cell_value(grid: GridSpec, rect: DyadicRectangle, vecsig, cell) -> Scal
 @lru_cache(maxsize=8192)
 def _haar_function_cached(grid: GridSpec, rect: DyadicRectangle, vecsig) -> StepFunction:
     _validate_key(grid, rect, vecsig)
-    values = {}
-    for cell in rect.cell_keys(grid.depth):
-        values[cell] = haar_cell_value(grid, rect, vecsig, cell)
-    return StepFunction(grid, values)
+    return synthesize(_expansion_unchecked(grid, {(rect, vecsig): ONE}))
 
 
 def haar_function(grid: GridSpec, rect: DyadicRectangle, vecsig) -> StepFunction:
@@ -149,19 +150,18 @@ def haar_coefficient(f: StepFunction, rect: DyadicRectangle, vecsig) -> Scalar:
 
 
 def mean_key(grid: GridSpec):
-    """The all-constant basis key (stored apart from ``coeffs``)."""
+    """The all-constant basis key: its coefficient is the mean."""
     rect = grid.unit_rectangle()
     return rect, tuple(all_ones(d) for d in grid.dims)
 
 
 class HaarExpansion:
-    """Exact Haar coefficients of a step function."""
+    """Exact Haar coefficients of a step function, one per basis key."""
 
-    __slots__ = ("grid", "mean", "coeffs")
+    __slots__ = ("grid", "coeffs")
 
-    def __init__(self, grid: GridSpec, mean: Scalar = ZERO, coeffs: dict | None = None):
+    def __init__(self, grid: GridSpec, coeffs: dict | None = None):
         self.grid = grid
-        self.mean = Scalar.coerce(mean)
         cleaned = {}
         if coeffs:
             for key, c in coeffs.items():
@@ -173,11 +173,12 @@ class HaarExpansion:
     def get(self, key) -> Scalar:
         return self.coeffs.get(key, ZERO)
 
+    @property
+    def mean(self) -> Scalar:
+        return self.get(mean_key(self.grid))
+
     def parseval_sq(self) -> Scalar:
-        total = self.mean * self.mean
-        for c in self.coeffs.values():
-            total = total + c * c
-        return total
+        return sum((c * c for c in self.coeffs.values()), ZERO)
 
     def strict_masses(self) -> dict:
         """Per rectangle, the sum of squared coefficients over all-strict keys."""
@@ -196,11 +197,7 @@ class HaarExpansion:
     def __eq__(self, other):
         if not isinstance(other, HaarExpansion):
             return NotImplemented
-        return (
-            self.grid == other.grid
-            and self.mean == other.mean
-            and self.coeffs == other.coeffs
-        )
+        return self.grid == other.grid and self.coeffs == other.coeffs
 
     def __repr__(self):
         return f"HaarExpansion(grid={self.grid!r}, nnz={len(self.coeffs)})"
@@ -411,10 +408,6 @@ def synthesize_patterns(grid: GridSpec, terms, e: int) -> StepFunction:
     return _inverse(grid, ((slots, m, n, e) for slots, m, n in terms))
 
 
-def _mean_slots(dims) -> tuple:
-    return tuple((0, (0,) * d, all_ones(d)) for d in dims)
-
-
 def _times_rsqrt_volume(slots, dims, m: int, n: int, e: int):
     """``(m + n*sqrt(2)) / 2**e`` times ``|R|**(-1/2) = sqrt(2)**L`` for the
     rectangle of ``slots``, ``L = sum(level * d)``: a swap of the two parts
@@ -431,25 +424,20 @@ def analyze(f: StepFunction) -> HaarExpansion:
     dims = grid.dims
     sums, e, bits = _forward(f)
     e += sum(d * n for d, n in zip(dims, grid.depth))  # the cell volume
-    mean_slots = _mean_slots(dims)
-    mean = ZERO
     coeffs: dict = {}
     for slots, x in sums.items():
-        c = Scalar(*_times_rsqrt_volume(slots, dims, *_unpack(x, bits), e))
-        if slots == mean_slots:
-            mean = c
-            continue
         rect = DyadicRectangle(
             tuple(_cube(d, level, pos) for (level, pos, _), d in zip(slots, dims))
         )
-        coeffs[(rect, tuple(slot[2] for slot in slots))] = c
-    return _expansion_unchecked(grid, mean, coeffs)
+        coeffs[(rect, tuple(slot[2] for slot in slots))] = Scalar(
+            *_times_rsqrt_volume(slots, dims, *_unpack(x, bits), e)
+        )
+    return _expansion_unchecked(grid, coeffs)
 
 
-def _expansion_unchecked(grid, mean, coeffs) -> HaarExpansion:
+def _expansion_unchecked(grid, coeffs) -> HaarExpansion:
     e = HaarExpansion.__new__(HaarExpansion)
     e.grid = grid
-    e.mean = mean
     e.coeffs = coeffs
     return e
 
@@ -468,8 +456,6 @@ def synthesize(e: HaarExpansion) -> StepFunction:
     """
     grid = e.grid
     items = []
-    if not e.mean.is_zero:
-        items.append((_mean_slots(grid.dims), e.mean.m, e.mean.n, e.mean.e))
     for (rect, vecsig), c in e.coeffs.items():
         slots = tuple(
             (cube.level, cube.pos, sig) for cube, sig in zip(rect.factors, vecsig)
@@ -487,16 +473,17 @@ def square_function_sq(f: StepFunction) -> StepFunction:
 
     Sums ``mass_R * 1_R / |R|`` over the rectangles, with ``mass_R`` the
     strict mass of :meth:`HaarExpansion.strict_masses`; the square root (a
-    float) is taken by :func:`square_function`.
+    float) is taken by :func:`square_function`.  Since ``1_R / |R|`` is
+    ``|R|**(-1/2)`` times the all-ones Haar function of ``R``, this is one
+    synthesis of those keys.
     """
     grid = f.grid
-    values: dict = {}
-    for rect, mass in analyze(f).strict_masses().items():
-        add = mass * Scalar(1, 0, -sum(q.level * q.d for q in rect.factors))
-        for cell in rect.cell_keys(grid.depth):
-            cur = values.get(cell)
-            values[cell] = add if cur is None else cur + add
-    return StepFunction(grid, values)
+    ones = tuple(all_ones(d) for d in grid.dims)
+    coeffs = {
+        (rect, ones): mass * sqrt2_pow(sum(q.level * q.d for q in rect.factors))
+        for rect, mass in analyze(f).strict_masses().items()
+    }
+    return synthesize(_expansion_unchecked(grid, coeffs))
 
 
 def square_function(f: StepFunction) -> np.ndarray:
@@ -568,7 +555,6 @@ def random_haar_function(
             rect = DyadicRectangle(tuple(c for c, _ in combo))
             vecsig = tuple(sig for _, sig in combo)
             coeffs[(rect, vecsig)] = Scalar(k, 0, 3)
-    mean = ZERO
     if include_mean:
-        mean = Scalar(int(rng.integers(-8, 9)), 0, 3)
-    return synthesize(HaarExpansion(grid, mean, coeffs))
+        coeffs[mean_key(grid)] = Scalar(int(rng.integers(-8, 9)), 0, 3)
+    return synthesize(HaarExpansion(grid, coeffs))

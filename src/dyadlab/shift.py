@@ -23,8 +23,7 @@ from dataclasses import dataclass
 
 from .errors import CapExceededError
 from .grid import DyadicCube, DyadicRectangle, GridSpec, is_strict
-from .haar import HaarExpansion, analyze, basis_function, haar_basis_keys, synthesize
-from .scalar import ZERO
+from .haar import BASIS_CAP, HaarExpansion, analyze, basis_function, haar_basis_keys, synthesize
 from .stepfn import StepFunction
 
 __all__ = [
@@ -187,10 +186,10 @@ def tensor_apply_counting(ts: TensorShift, f: StepFunction):
             continue
         cur = out.get(shifted)
         out[shifted] = c if cur is None else cur + c
-    return synthesize(HaarExpansion(grid, ZERO, out)), truncated
+    return synthesize(HaarExpansion(grid, out)), truncated
 
 
-def matrix_in_haar_basis(op, grid: GridSpec, cap: int = 4096):
+def matrix_in_haar_basis(op, grid: GridSpec, cap: int = BASIS_CAP):
     """Dense exact matrix of an operator in the ordered Haar basis.
 
     ``op`` is a callable taking and returning step functions on ``grid``.
@@ -203,8 +202,6 @@ def matrix_in_haar_basis(op, grid: GridSpec, cap: int = 4096):
         raise CapExceededError(f"basis size {size} exceeds cap {cap}")
     cols = []
     for key in keys:
-        g = op(basis_function(grid, key))
-        e = analyze(g)
-        col = [e.mean] + [e.get(k) for k in keys[1:]]
-        cols.append(col)
+        e = analyze(op(basis_function(grid, key)))
+        cols.append([e.get(k) for k in keys])
     return [[cols[j][i] for j in range(size)] for i in range(size)]

@@ -8,7 +8,8 @@ exact mass included, on grids with at most two parameters, dimensions up
 to 2 and at most 64 cells.  Exact mode runs up to 16 cells; on larger
 grids both sides must raise the same cap error.  Symbols cover the
 int64 and the big-integer zeta transform, ``sqrt(2)`` masses, a single
-Haar function and a constant.
+Haar function, a constant, and values ``u * (3 - 2*sqrt(2))**k`` whose
+masses cancel in floats.
 """
 
 import numpy as np
@@ -33,6 +34,7 @@ from dyadlab.stepfn import StepFunction
 
 MAX_CELL_BITS = 6
 SYMBOLS = ("random", "big", "root2", "haar", "constant")
+UNIT = Scalar(3, -2)  # 3 - 2*sqrt2: its powers make a + b*sqrt2 cancel
 
 
 # -- reference ------------------------------------------------------------------
@@ -154,7 +156,7 @@ def _exact_bruteforce(b: StepFunction, masses, cap_bits: int):
             not _pair_ratio_gt(best, cand) and (cand[2], cand[3]) < (best[2], best[3])
         )
 
-    best = None
+    subsets = range(1, n_subsets)
     if bound_a < 1 << 62 and bound_b < 1 << 62:
         a = np.zeros(n_subsets, dtype=np.int64)
         bvec = np.zeros(n_subsets, dtype=np.int64)
@@ -163,18 +165,18 @@ def _exact_bruteforce(b: StepFunction, masses, cap_bits: int):
             bvec[mask] += bm
         zeta_sos(a, bvec, ncells)
         pc = popcounts(n_subsets)
-        with np.errstate(invalid="ignore"):
-            vals = (a.astype(np.float64) + bvec.astype(np.float64) * np.sqrt(2.0)) / np.maximum(
-                pc, 1
-            )
-        vals[0] = -np.inf
-        vmax = float(vals.max())
-        tol = abs(vmax) * 1e-9 + 1e-300
-        for u in np.nonzero(vals >= vmax - tol)[0]:
-            u = int(u)
-            cand = (int(a[u]), int(bvec[u]), int(pc[u]), u)
-            if better(cand, best):
-                best = cand
+        if all(bm >= 0 for _, _, bm in scaled):
+            # no sqrt2 part is negative, so the float sums cannot cancel:
+            # only subsets near the float maximum can win
+            with np.errstate(invalid="ignore"):
+                vals = (a.astype(np.float64) + bvec.astype(np.float64) * np.sqrt(2.0)) / (
+                    np.maximum(pc, 1)
+                )
+            vals[0] = -np.inf
+            vmax = float(vals.max())
+            tol = abs(vmax) * 1e-9 + 1e-300
+            subsets = np.nonzero(vals >= vmax - tol)[0].tolist()
+        a, bvec, pc = a.tolist(), bvec.tolist(), pc.tolist()
     else:
         a = [0] * n_subsets
         bvec = [0] * n_subsets
@@ -182,10 +184,12 @@ def _exact_bruteforce(b: StepFunction, masses, cap_bits: int):
             a[mask] += am
             bvec[mask] += bm
         _zeta_sos_loop(a, bvec, ncells)
-        for u in range(1, n_subsets):
-            cand = (a[u], bvec[u], bin(u).count("1"), u)
-            if better(cand, best):
-                best = cand
+        pc = [bin(u).count("1") for u in range(n_subsets)]
+    best = None
+    for u in subsets:
+        cand = (a[u], bvec[u], pc[u], u)
+        if better(cand, best):
+            best = cand
     am, bm, count, umask = best
     witness = frozenset(c for i, c in enumerate(cells) if umask & (1 << i))
     return Scalar(am, bm, max_e), count, witness
@@ -222,6 +226,12 @@ def symbol(grid: GridSpec, kind: str, seed: int) -> StepFunction:
             factors.append(DyadicCube(d, level, tuple(int(p) for p in rng.integers(0, 1 << level, d))))
             sig.append(strict_signatures(d)[int(rng.integers(0, (1 << d) - 1))])
         return haar_function(grid, DyadicRectangle(tuple(factors)), tuple(sig))
+    if kind == "unit":
+        k = int(rng.integers(0, 7))
+        return StepFunction(grid, {
+            cell: Scalar(*map(int, rng.integers((-3, -3, 0), (4, 4, 3)))) * UNIT ** k
+            for cell in grid.cells()
+        })
     f = random_haar_function(grid, rng)
     scale = {"random": Scalar(1), "big": Scalar(1 << 40), "root2": Scalar(0, 1, 7)}[kind]
     return f * scale
@@ -247,9 +257,9 @@ def check_all_modes(grid: GridSpec, kind: str, seed: int) -> None:
 
 
 @st.composite
-def grids(draw):
+def grids(draw, budget=MAX_CELL_BITS):
     t = draw(st.integers(1, 2))
-    dims, depth, budget = [], [], MAX_CELL_BITS
+    dims, depth = [], []
     for _ in range(t):
         d = draw(st.integers(1, 2))
         n = draw(st.integers(0, min(3 if t == 2 else 6, budget // d)))
@@ -277,3 +287,23 @@ def test_bmo_norm_matches_reference_seeded(dims, depth):
             check_all_modes(grid, kind, seed)
     for kind in ("big", "haar", "constant"):
         check_all_modes(grid, kind, 0)
+
+
+def test_bmo_norm_matches_reference_on_a_cancelling_symbol():
+    # x on one cell and -x on the other, x = (99 - 70*sqrt2)**3: the float
+    # masses cancel, and a float window would drop the 2-cell maximum
+    x = Scalar(99, -70) ** 3
+    grid = GridSpec((1,), (1,))
+    left, right = grid.cells()
+    b = StepFunction(grid, {left: x, right: -x})
+    for mode in BMO_MODES:
+        assert outcome(bmo_norm, b, mode) == outcome(reference_bmo_norm, b, mode), mode
+    assert reference_bmo_norm(b, "exact-bruteforce").cell_count == 2
+
+
+# u * (3 - 2*sqrt2)**k per cell, on at most 8 cells: masses with negative
+# sqrt2 parts make the reference select over every subset
+@settings(max_examples=40, deadline=None)
+@given(grids(budget=3), st.integers(0, 2**16))
+def test_bmo_norm_matches_reference_on_unit_powers(grid, seed):
+    check_all_modes(grid, "unit", seed)

@@ -467,3 +467,22 @@ def test_shipped_config_runs(path, tmp_path):
         assert meta["summary"]["mismatches"] == 0
     elif command == "verify-decomposition":
         assert meta["failures"] == 0 and meta["not_checked"] == 0
+
+
+@pytest.mark.parametrize(
+    "command, path",
+    [(shipped_command(p), p) for p in CONFIGS] + [(c, None) for c in cli._COMMANDS],
+    ids=[p.stem for p in CONFIGS] + [f"{c}-defaults" for c in cli._COMMANDS],
+)
+def test_plan_is_a_config(tmp_path, capsys, command, path):
+    # a report's plan, given back as a config, must resolve to itself
+    def dry_run(config):
+        assert run([command, "--config", str(config), "--dry-run"]) == cli.EXIT_OK
+        return json.loads(capsys.readouterr().out)["plan"]
+
+    if path is None:
+        path = write_config(tmp_path, {"schema_version": 1}, "defaults.json")
+    plan = dry_run(path)
+    assert list(plan) == ["command"] + [f.name for f in cli._SCHEMAS[command]]
+    fields = {k: v for k, v in plan.items() if k != "command"}
+    assert dry_run(write_config(tmp_path, {"schema_version": 1, **fields}, "plan.json")) == plan

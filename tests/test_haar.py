@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dyadlab.grid import DyadicCube, DyadicRectangle, GridSpec
+from dyadlab.grid import DyadicCube, DyadicRectangle, GridSpec, all_ones, strict_signatures
 from dyadlab.haar import (
     HaarExpansion,
     analyze,
@@ -14,6 +14,7 @@ from dyadlab.haar import (
     haar_coefficient,
     haar_function,
     basis_function,
+    mean_key,
     random_haar_function,
     square_function,
     square_function_sq,
@@ -85,7 +86,7 @@ def test_analyze_single_haar():
 def test_analyze_constant():
     e = analyze(StepFunction.constant(G1, Scalar(3)))
     assert e.mean == Scalar(3)
-    assert e.coeffs == {}
+    assert e.coeffs == {mean_key(G1): Scalar(3)}
 
 
 def test_analyze_quarter_indicator():
@@ -94,6 +95,7 @@ def test_analyze_quarter_indicator():
     e = analyze(f)
     assert e.mean == Scalar(1, 0, 2)  # 1/4
     expected = {
+        mean_key(G1): Scalar(1, 0, 2),
         (interval(0, 0), ((0,),)): Scalar(-1, 0, 2),  # -1/4
         (interval(1, 0), ((0,),)): Scalar(0, -1, 2),  # -sqrt2/4
     }
@@ -121,10 +123,32 @@ def test_roundtrip_and_parseval_random():
             assert e.parseval_sq() == f.l2_norm_sq()
 
 
+def every_key(grid):
+    """Every resolvable key: per parameter, every cube at every level with
+    the all-ones signature, and the strict signatures below the finest level."""
+    per_param = []
+    for s, (d, n) in enumerate(zip(grid.dims, grid.depth)):
+        per_param.append([
+            (cube, sig)
+            for cube in grid.cubes(s, n)
+            for sig in [all_ones(d)] + (strict_signatures(d) if cube.level < n else [])
+        ])
+    for combo in itertools.product(*per_param):
+        yield DyadicRectangle(tuple(c for c, _ in combo)), tuple(sig for _, sig in combo)
+
+
 def test_synthesize_single_coefficient():
     key = (interval(1, 1), ((0,),))
-    e = HaarExpansion(G1, ZERO, {key: Scalar(1)})
+    e = HaarExpansion(G1, {key: Scalar(1)})
     assert synthesize(e) == haar_function(G1, *key)
+    # haar_function synthesizes too: hold it to the per-cell definition
+    for grid in (G1, G11, GridSpec((2,), (2,)), GridSpec((1, 2), (2, 1))):
+        for rect, vecsig in every_key(grid):
+            want = {
+                cell: haar_cell_value(grid, rect, vecsig, cell)
+                for cell in rect.cell_keys(grid.depth)
+            }
+            assert haar_function(grid, rect, vecsig) == StepFunction(grid, want)
 
 
 def test_synthesize_zero():

@@ -33,7 +33,7 @@ from dyadlab.haar import (
     mean_key,
     synthesize,
 )
-from dyadlab.scalar import ONE, Scalar
+from dyadlab.scalar import ONE, ZERO, Scalar
 from dyadlab.stepfn import StepFunction
 
 MAX_CELL_BITS = 6
@@ -91,17 +91,17 @@ def expansions(draw):
     """Coefficients on arbitrary resolvable keys, including all-ones parts
     at every level (the keys paraproduct outputs use)."""
     grid = draw(grids())
-    coeffs = {}
+    coeffs = {mean_key(grid): draw(scalars)}
     for _ in range(draw(st.integers(0, 6))):
         parts = [draw(slot(d, n)) for d, n in zip(grid.dims, grid.depth)]
         key = (DyadicRectangle(tuple(c for c, _ in parts)), tuple(s for _, s in parts))
         coeffs[key] = draw(scalars)
-    return HaarExpansion(grid, draw(scalars), coeffs)
+    return HaarExpansion(grid, coeffs)
 
 
 def synthesize_by_cells(e: HaarExpansion) -> StepFunction:
     grid = e.grid
-    values = {cell: e.mean for cell in grid.cells()}
+    values = {cell: ZERO for cell in grid.cells()}
     for (rect, vecsig), c in e.coeffs.items():
         for cell in rect.cell_keys(grid.depth):
             values[cell] = values[cell] + c * haar_cell_value(grid, rect, vecsig, cell)
@@ -115,7 +115,7 @@ def test_analyze_matches_haar_coefficient(f):
     e = analyze(f)
     assert e.mean == haar_coefficient(f, *keys[0])
     want = {}
-    for key in keys[1:]:
+    for key in keys:
         c = haar_coefficient(f, *key)
         if not c.is_zero:
             want[key] = c
@@ -161,7 +161,7 @@ def test_synthesize_rejects_strict_key_at_finest_level():
     grid = GridSpec((1,), (2,))
     rect = DyadicRectangle((DyadicCube(1, 2, (1,)),))
     with pytest.raises(ValueError):
-        synthesize(HaarExpansion(grid, 0, {(rect, ((0,),)): ONE}))
+        synthesize(HaarExpansion(grid, {(rect, ((0,),)): ONE}))
 
 
 # -- DyadicCube.haar_sign against the Haar function's values --------------------
@@ -191,7 +191,7 @@ def _sign(x: Scalar) -> int:
 def test_haar_sign_is_the_sign_on_every_cell_of_the_subcube(case):
     grid, cube, sig, level, pos = case
     rect = DyadicRectangle((cube,))
-    pyramid = synthesize(HaarExpansion(grid, 0, {(rect, (sig,)): ONE}))
+    pyramid = synthesize(HaarExpansion(grid, {(rect, (sig,)): ONE}))
     sign = cube.haar_sign(sig, level, pos)
     for cell in DyadicCube(cube.d, level, pos).cell_positions(grid.depth[0]):
         assert _sign(haar_cell_value(grid, rect, (sig,), (cell,))) == sign

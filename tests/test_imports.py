@@ -7,11 +7,13 @@ reason.  ``__init__.py`` is exempt, since re-exporting is its job.
 
 import ast
 import re
+import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "dyadlab"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "dyadlab"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
 NOQA = re.compile(r"#\s*noqa:\s*F401\b\s*(\S.*)?$")
 
@@ -55,3 +57,23 @@ def test_checker_flags_unused_and_honours_reasoned_noqa():
         "    return np.zeros(analyze(g))\n"
     )
     assert unused_imports(src) == ["line 1: json", "line 3: Fraction"]
+
+
+def test_benchmark_tracer_finds_every_name_it_wraps():
+    # bench/tracer.py wraps package functions by name; deleting or renaming
+    # one must fail here, not only in the benchmark's own tests
+    from dyadlab import haar
+
+    sys.path.insert(0, str(ROOT / "bench"))
+    try:
+        from tracer import Tracer
+    finally:
+        sys.path.remove(str(ROOT / "bench"))
+    analyze = haar.analyze
+    tracer = Tracer()
+    try:
+        tracer.enable()
+        assert haar.analyze is not analyze
+    finally:
+        tracer.disable()
+    assert haar.analyze is analyze
