@@ -34,16 +34,15 @@ from .grid import (
     sig_xnor,
     strict_signatures,
 )
-from .haar import (
+from .haar import (  # noqa: F401  analyze: tests patch it here to prove the cap check comes first
     BASIS_CAP,
     analyze,
-    basis_function,
     haar_basis_keys,
     haar_function,
     random_haar_function,
 )
 from .paraproduct import ParaproductSpec, apply_paraproduct, bmo_norm
-from .scalar import Scalar, sqrt2_pow
+from .scalar import _SQRT2_FLOAT, ZERO, Scalar, sqrt2_pow
 from .shift import ShiftMap, TensorShift, shift_key, tensor_apply_counting
 from .stepfn import StepFunction
 from ._kernels import power_iteration
@@ -453,35 +452,82 @@ POWER_MAX_ITER = 10000
 POWER_SEED = 0
 
 
+# float64 BLAS sums integers exactly while every partial sum is below 2**53
+_FLOAT_EXACT_BOUND = 1 << 53
+
+
 @lru_cache(maxsize=16)
-def _basis_index(grid: GridSpec) -> dict:
-    """Position of every key in :func:`haar_basis_keys` order."""
-    return {key: i for i, key in enumerate(haar_basis_keys(grid))}
-
-
-def _shift_index_map(q: TensorShift, grid: GridSpec) -> list:
+def _shift_index_map(q: TensorShift, grid: GridSpec) -> np.ndarray:
     """The shift ``q`` as a partial map of basis indices: entry ``j`` is
-    the index of the shifted ``j``-th key, or ``None`` where
-    :func:`shift_key` drops it."""
-    index = _basis_index(grid)
-    out = []
-    for key in haar_basis_keys(grid):
-        shifted = shift_key(q, key, grid.depth)[0]
-        out.append(None if shifted is None else index[shifted])
+    the index of the shifted ``j``-th key, or -1 where :func:`shift_key`
+    drops it.  A shift is injective on the keys it keeps."""
+    keys = haar_basis_keys(grid)
+    index = {key: i for i, key in enumerate(keys)}
+    shifted = (shift_key(q, key, grid.depth)[0] for key in keys)
+    out = [-1 if k is None else index[k] for k in shifted]
+    assert len(set(out) - {-1}) == len(out) - out.count(-1), "shift index map is not injective"
+    out = np.array(out, dtype=np.intp)
+    out.flags.writeable = False
     return out
 
 
-def _bracket_column(cols: list, q: list, j: int) -> dict:
-    """Column ``j`` of ``C*Q - Q*C`` for sparse exact columns ``cols`` of
-    ``C`` and the index map ``q`` of ``Q``."""
-    out = {} if q[j] is None else dict(cols[q[j]])
-    for i, c in cols[j].items():
-        qi = q[i]
-        if qi is None:
-            continue
-        cur = out.get(qi)
-        out[qi] = -c if cur is None else cur - c
-    return {i: c for i, c in out.items() if not c.is_zero}
+@lru_cache(maxsize=4)
+def _sign_table(grid: GridSpec) -> tuple:
+    """``(S, L)``: row ``i`` of the int8 matrix ``S`` is the +-1/0 sign
+    pattern ``H_i`` of the ``i``-th key of :func:`haar_basis_keys` over the
+    cells in :meth:`GridSpec.cells` order, and ``h_i = sqrt(2)**L_i * H_i``
+    with ``L_i = sum(level * d)``.  ``S`` permutes the rows of the Kronecker
+    product of the parameters' tables, one row per slot ``(cube, sig)``."""
+    slots = [{} for _ in grid.dims]  # per parameter: slot -> its table row
+    perm = []
+    for rect, vecsig in haar_basis_keys(grid):
+        row = 0
+        for table, slot, d, n in zip(slots, zip(rect.factors, vecsig), grid.dims, grid.depth):
+            row = (row << d * n) + table.setdefault(slot, len(table))
+        perm.append(row)
+    signs, levels = np.ones((1, 1), dtype=np.int8), np.zeros(1, dtype=np.int64)
+    for table, d, n in zip(slots, grid.dims, grid.depth):
+        cells = np.array(list(itertools.product(range(1 << n), repeat=d))).reshape(-1, d)
+        rows = []
+        for cube, sig in table:
+            shift = n - cube.level
+            rows.append(np.all(cells >> shift == cube.pos, axis=1).astype(np.int8))
+            for j in (j for j, bit in enumerate(sig) if not bit):
+                rows[-1][(cells[:, j] >> (shift - 1)) & 1 == 0] *= -1  # lower half on axis j
+        signs = np.kron(signs, rows)
+        levels = np.add.outer(levels, [cube.level * d for cube, _ in table]).ravel()
+    signs, levels = signs[perm], levels[perm]
+    signs.flags.writeable = levels.flags.writeable = False  # shared by the cache
+    return signs, levels
+
+
+def _multiplier(b: StepFunction, grid: GridSpec) -> tuple:
+    """Exact M_b as ``(PQ, E)``, entry ``(i, j)`` = ``(PQ[0] + PQ[1]*sqrt(2))
+    / 2**E``.
+
+    With ``b = (m + n*sqrt(2)) / 2**e`` over one denominator, M_b is
+    ``sqrt(2)**(L_i+L_j) * (A + B*sqrt(2))`` over ``2**e`` times the cell
+    count, for ``A = S*diag(m)*S^T`` and ``B = S*diag(n)*S^T`` of
+    :func:`_sign_table`: an odd ``L_i + L_j`` swaps the parts (``P = 2B``,
+    ``Q = A``) and the rest is a left shift.  The arrays are int64, with
+    ``A`` and ``B`` from float64 BLAS, while the bound below keeps every
+    partial sum and every entry of the commutator below 2**53; otherwise
+    the same steps run on numpy object arrays of Python integers.
+    """
+    signs, levels = _sign_table(grid)
+    vals = [b.values.get(cell, ZERO) for cell in grid.cells()]
+    e = max(v.e for v in vals)
+    mn = [[v.m << (e - v.e) for v in vals], [v.n << (e - v.e) for v in vals]]
+    # |P|, |Q| <= max(sum|m|, 2 sum|n|) * 2**max(L); each bracket at most doubles them
+    bound = max(sum(map(abs, mn[0])), 2 * sum(map(abs, mn[1]))) << (int(levels.max()) + grid.t)
+    real, exact = (np.float64, np.int64) if bound < _FLOAT_EXACT_BOUND else (object, object)
+    s = signs.astype(real)
+    ab = ((s * np.array(mn, dtype=real)[:, None]) @ s.T).astype(exact)
+    k = levels[:, None] + levels
+    odd = (k & 1).astype(bool)
+    ab[:, odd] = 2 * ab[1, odd], ab[0, odd]
+    ab <<= (k >> 1).astype(exact)
+    return ab, e + sum(d * n for d, n in zip(grid.dims, grid.depth))
 
 
 def commutator_matrix(
@@ -491,33 +537,39 @@ def commutator_matrix(
     Haar basis (:func:`haar_basis_keys`; column ``j`` is the image of the
     ``j``-th key).
 
-    The matrix is built exactly in coefficient space.  Column ``j`` of M_b
-    is ``analyze(b * h_j)``, stored sparse.  Each shifted parameter ``s``
-    is a 0/1 index map Q_s from :func:`shift_key`, and ``C <- C*Q_s -
-    Q_s*C`` for ``s = 1..t`` is the nesting of :func:`commutator_apply`.
-    Each nonzero exact entry is then rounded once.  Fails like
-    ``commutator_apply`` on mismatched input, after the ``cap`` check.
+    The matrix is built exactly in coefficient space.  M_b comes from
+    integer sign-pattern products (:func:`_multiplier`): on float64 BLAS
+    while every sum stays below 2**53, else on numpy object arrays of
+    Python integers.  Each shifted parameter ``s`` is a 0/1 index map Q_s
+    from :func:`shift_key`, and ``C <- C*Q_s - Q_s*C`` for ``s = 1..t`` is
+    the nesting of :func:`commutator_apply`.  Each exact entry is then
+    rounded once.  The ``cap`` check comes before any work; then bad input
+    fails like ``commutator_apply``.
     """
-    keys = haar_basis_keys(grid)
-    size = len(keys)
+    size = grid.cell_count
     if size > cap:
         raise CapExceededError(f"basis size {size} exceeds cap {cap}")
     if b.grid != grid or ts.t != grid.t:
         raise ValueError("grid/shift arity mismatch")
-    out = np.zeros((size, size))
     if any(p is None for p in ts.parts):
-        return out  # bracket with the identity vanishes
-    index = _basis_index(grid)
-    cols = []
-    for key in keys:
-        e = analyze(b * basis_function(grid, key))
-        cols.append({index[k]: c for k, c in e.coeffs.items()})
+        return np.zeros((size, size))  # bracket with the identity vanishes
+    pq, e = _multiplier(b, grid)
     for s in range(grid.t):
-        q = _shift_index_map(_slot(ts, s), grid)
-        cols = [_bracket_column(cols, q, j) for j in range(size)]
-    for j, col in enumerate(cols):
-        for i, c in col.items():
-            out[i, j] = float(c)
+        # column j of C*Q is column qmap[j] of C (a gather); row k of C
+        # lands on row qmap[k] of Q*C (a scatter)
+        qmap = _shift_index_map(_slot(ts, s), grid)
+        kept = np.flatnonzero(qmap >= 0)
+        out = np.zeros_like(pq)
+        out[:, :, kept] = pq[:, :, qmap[kept]]
+        out[:, qmap[kept]] -= pq[:, kept]
+        pq = out
+    # round as Scalar.__float__ does: P/2**e + (Q/2**e)*sqrt(2) where the
+    # parts share a sign, Scalar.__float__ itself where they do not
+    p, q = pq
+    out = np.ldexp(p.astype(np.float64), -e)
+    out += np.ldexp(q.astype(np.float64), -e) * _SQRT2_FLOAT
+    for i, j in zip(*np.nonzero((p < 0) & (q > 0) | (p > 0) & (q < 0))):
+        out[i, j] = float(Scalar(int(p[i, j]), int(q[i, j]), e))
     return out
 
 
@@ -530,11 +582,14 @@ def operator_norm(
 ) -> OperatorNormResult:
     """Largest singular value of ``f -> commutator(b, f)`` in the Haar basis.
 
-    The matrix comes from :func:`commutator_matrix`: exact sparse M_b and
-    shift index maps, each entry rounded once.  ``svd`` takes the largest
-    singular value of the dense matrix; ``power`` runs power iteration from
-    a start vector seeded by ``POWER_SEED``, to relative tolerance
-    ``POWER_TOL`` in at most ``POWER_MAX_ITER`` steps.
+    The matrix comes from :func:`commutator_matrix`: M_b from integer
+    sign-pattern products (float64 BLAS below 2**53, numpy object arrays
+    of Python integers above) and shift index maps, each exact entry
+    rounded once, so the bound changes the cost, never a bit of the
+    result.  ``svd`` takes the largest singular value of the dense matrix;
+    ``power`` runs power iteration from a start vector seeded by
+    ``POWER_SEED``, to relative tolerance ``POWER_TOL`` in at most
+    ``POWER_MAX_ITER`` steps.
     """
     if method not in NORM_METHODS:
         raise ValueError(f"unknown method {method!r}")

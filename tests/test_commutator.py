@@ -377,6 +377,39 @@ def test_opnorm_t2_symbol_constant_in_one_parameter_is_zero():
             assert res.value == 0.0
 
 
+T3_MAPS = (FIRST, ROT, ShiftMap(1, ("child", 1), "identity"))
+
+
+def t3_factors():
+    g1 = GridSpec((1,), (2,))
+    rng = np.random.default_rng(21)
+    return g1, [random_haar_function(g1, rng, include_mean=s == 1) for s in range(3)]
+
+
+def test_opnorm_t3_product_symbol_is_product_of_norms():
+    # the t = 2 identity once more: the bracket of b1 x b2 x b3 is the
+    # tensor product of the three one-parameter brackets
+    g1, factors = t3_factors()
+    b = tensor_symbol(tensor_symbol(*factors[:2]), factors[2])
+    norms = [
+        operator_norm(f, TensorShift.single(m), g1, method="svd").value
+        for f, m in zip(factors, T3_MAPS)
+    ]
+    n = operator_norm(b, TensorShift(T3_MAPS), b.grid, method="svd").value
+    assert b.grid == GridSpec((1, 1, 1), (2, 2, 2))
+    assert min(norms) > 0
+    assert n == pytest.approx(norms[0] * norms[1] * norms[2], rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("s", range(3))
+def test_opnorm_t3_symbol_constant_in_one_parameter_is_zero(s):
+    g1, factors = t3_factors()
+    factors[s] = StepFunction.constant(g1, Scalar(1))
+    b = tensor_symbol(tensor_symbol(*factors[:2]), factors[2])
+    for method in ("power", "svd"):
+        assert operator_norm(b, TensorShift(T3_MAPS), b.grid, method=method).value == 0.0
+
+
 def test_single_haar_symbol_fixture_value():
     # dense-SVD oracle for the fixed family: the norm is sqrt(2) exactly
     g = GridSpec((1,), (4,))
