@@ -34,13 +34,7 @@ from .grid import (
     sig_xnor,
     strict_signatures,
 )
-from .haar import (  # noqa: F401  analyze: tests patch it here to prove the cap check comes first
-    BASIS_CAP,
-    analyze,
-    haar_basis_keys,
-    haar_function,
-    random_haar_function,
-)
+from .haar import BASIS_CAP, haar_basis_keys, haar_function, random_haar_function
 from .paraproduct import ParaproductSpec, apply_paraproduct, bmo_norm
 from .scalar import _SQRT2_FLOAT, ZERO, Scalar, sqrt2_pow
 from .shift import ShiftMap, TensorShift, shift_key, tensor_apply_counting

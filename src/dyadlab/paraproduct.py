@@ -34,9 +34,9 @@ from .grid import (
     enumerate_rectangles,
     is_strict,
 )
-from .haar import (  # noqa: F401  haar_coefficient: bench/tracer.py looks it up here
+from .haar import (
     analyze,
-    haar_coefficient,
+    haar_coefficient,  # noqa: F401  rebound in bench/test_bench.py::test_tracer_rebinds_imported_copies
     haar_pattern_sums,
     random_haar_function,
     synthesize_patterns,

@@ -1,8 +1,10 @@
 """Discrete Riesz transforms and randomized shift sampling on periodic lattices.
 
 Everything here is floating point: the Fourier multipliers are irrational,
-so no exactness is claimed.  Functions live on the n**d lattice of the
-periodic unit domain, with inner product ``(1/n**d) * sum(u * conj(v))``.
+so no exactness is claimed.  Functions on the n**d lattice of the periodic
+unit domain are plain complex arrays of shape ``(n,) * d``, with inner
+product ``(1/n**d) * sum(u * conj(v))``; matrices act on their flattened
+values.
 
 The sampling half draws translated/dilated dyadic grids (dyadic scale
 factor t in [1, 2], dyadic offset y, both lattice-aligned), builds the
@@ -21,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "PeriodicGridFunction",
     "discrete_riesz",
     "riesz_matrix",
     "RandomGridSample",
@@ -31,44 +32,12 @@ __all__ = [
 ]
 
 
-@dataclass
-class PeriodicGridFunction:
-    """Complex lattice function on the n**d periodic grid."""
-
-    d: int
-    n: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        expected = (self.n,) * self.d
-        self.values = np.asarray(self.values, dtype=np.complex128)
-        if self.values.shape != expected:
-            raise ValueError(f"values must have shape {expected}")
-
-    @classmethod
-    def from_real(cls, values) -> "PeriodicGridFunction":
-        arr = np.asarray(values, dtype=np.float64)
-        return cls(arr.ndim, arr.shape[0], arr.astype(np.complex128))
-
-    def fft(self) -> np.ndarray:
-        return np.fft.fftn(self.values)
-
-    def mean(self) -> complex:
-        return complex(self.values.mean())
-
-    def inner(self, other: "PeriodicGridFunction") -> complex:
-        return complex(np.vdot(other.values, self.values) / self.n**self.d)
-
-
-def _frequencies(d: int, n: int):
-    """Integer frequency grids, one array per axis, broadcastable."""
+def _riesz_multiplier(d: int, n: int, j: int) -> np.ndarray:
+    """``-i xi_j / |xi|`` on the integer frequency grid, zero at xi = 0."""
+    if not 1 <= j <= d:
+        raise ValueError("component out of range")
     freq = np.fft.fftfreq(n, d=1.0 / n)
     grids = np.meshgrid(*([freq] * d), indexing="ij")
-    return grids
-
-
-def _riesz_multiplier(d: int, n: int, j: int) -> np.ndarray:
-    grids = _frequencies(d, n)
     norm = np.sqrt(sum(g * g for g in grids))
     with np.errstate(divide="ignore", invalid="ignore"):
         mult = -1j * grids[j - 1] / norm
@@ -76,27 +45,24 @@ def _riesz_multiplier(d: int, n: int, j: int) -> np.ndarray:
     return mult
 
 
-def discrete_riesz(j: int, f: PeriodicGridFunction) -> PeriodicGridFunction:
-    """Fourier multiplier ``-i xi_j / |xi|`` (zero at the zero frequency).
-
-    ``j = 0`` is the identity by convention.
-    """
+def discrete_riesz(j: int, values) -> np.ndarray:
+    """Fourier multiplier ``-i xi_j / |xi|`` (zero at the zero frequency) on
+    an array of shape ``(n,) * d``; ``j = 0`` is the identity by convention."""
+    values = np.asarray(values, dtype=np.complex128)
+    d, n = values.ndim, (values.shape or (0,))[0]
+    if values.shape != (n,) * d:
+        raise ValueError(f"values must have shape {(n,) * d}")
     if j == 0:
-        return PeriodicGridFunction(f.d, f.n, f.values.copy())
-    if not 1 <= j <= f.d:
-        raise ValueError("component out of range")
-    mult = _riesz_multiplier(f.d, f.n, j)
-    out = np.fft.ifftn(np.fft.fftn(f.values) * mult)
-    return PeriodicGridFunction(f.d, f.n, out)
+        return values.copy()
+    return np.fft.ifftn(np.fft.fftn(values) * _riesz_multiplier(d, n, j))
 
 
 def riesz_matrix(d: int, n: int, j: int) -> np.ndarray:
-    """Dense matrix of the j-th Riesz transform on the flattened lattice."""
+    """Dense matrix of the j-th Riesz transform on the flattened lattice;
+    column k is ``discrete_riesz(j, e_k)``, all columns in one batched FFT."""
     size = n**d
     if j == 0:
         return np.eye(size, dtype=np.complex128)
-    if not 1 <= j <= d:
-        raise ValueError("component out of range")
     mult = _riesz_multiplier(d, n, j)
     cols = np.fft.ifftn(
         np.fft.fftn(np.eye(size).reshape((n,) * d + (size,)), axes=tuple(range(d)))
@@ -144,8 +110,7 @@ def draw_grid_samples(d: int, n: int, count: int, seed: int) -> list[RandomGridS
     for _ in range(count):
         m = int(rng.integers(0, min(3, max(1, logn - 1)) + 1))
         t_num = int(rng.integers(1 << m, (1 << (m + 1)) + 1))
-        y_den_log = logn - m
-        y = tuple(int(rng.integers(0, 1 << y_den_log)) for _ in range(d))
+        y = tuple(int(rng.integers(0, 1 << (logn - m))) for _ in range(d))
         child = int(rng.integers(0, 1 << d))
         rot = int(rng.integers(0, d))
         out.append(RandomGridSample(d, n, t_num, m, y, child, rot, seed))
@@ -162,17 +127,13 @@ def _sample_cubes(sample: RandomGridSample):
     d, n = sample.d, sample.n
     logn = n.bit_length() - 1
     p, m = sample.t_num, sample.t_log2den
+    base = tuple((p * y) % n for y in sample.y_num)
     cubes = []
-    for k in range(0, logn - m + 1):
-        side = p << (logn - m - k) if logn - m - k >= 0 else 0
+    for k in range(logn - m + 1):
+        side = p << (logn - m - k)
         if side == 0 or side % 4 != 0 or side > n:
             continue
-        per_level = n // side
-        if per_level == 0:
-            continue
-        base = tuple((p * y) % n for y in sample.y_num)
-        ranges = [range(per_level)] * d
-        for idx in itertools.product(*ranges):
+        for idx in itertools.product(range(n // side), repeat=d):
             start = tuple((base[a] + idx[a] * side) % n for a in range(d))
             cubes.append((start, side))
     return cubes
@@ -198,11 +159,6 @@ def _haar_vector(d: int, n: int, start, side, sig) -> np.ndarray:
     return out / np.sqrt((side / n) ** d)
 
 
-def _child(start, side, index, d):
-    half = side // 2
-    return tuple(start[a] + ((index >> a) & 1) * half for a in range(d)), half
-
-
 def sample_shift_matrix(sample: RandomGridSample) -> np.ndarray:
     """Dense matrix of the sampled shift on the flattened lattice.
 
@@ -212,18 +168,15 @@ def sample_shift_matrix(sample: RandomGridSample) -> np.ndarray:
     """
     d, n = sample.d, sample.n
     size = n**d
-    strict = [
-        s for s in itertools.product((0, 1), repeat=d) if s != (1,) * d
-    ]
+    strict = [s for s in itertools.product((0, 1), repeat=d) if s != (1,) * d]
+    rot = sample.sig_rotation % d  # sig[-0:] + sig[:-0] is sig itself
     mat = np.zeros((size, size))
     for start, side in _sample_cubes(sample):
-        cstart, cside = _child(start, side, sample.child_index, d)
-        cstart = tuple(c % n for c in cstart)
+        half = side // 2
+        cstart = tuple((start[a] + ((sample.child_index >> a) & 1) * half) % n for a in range(d))
         for sig in strict:
-            rot = sample.sig_rotation % d
-            out_sig = sig[-rot:] + sig[:-rot] if rot else sig
             h_in = _haar_vector(d, n, start, side, sig).reshape(size)
-            h_out = _haar_vector(d, n, cstart, cside, out_sig).reshape(size)
+            h_out = _haar_vector(d, n, cstart, half, sig[-rot:] + sig[:-rot]).reshape(size)
             mat += np.outer(h_out, h_in)
     return mat / size
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import DyadicRectangle, GridSpec
+from .grid import GridSpec
 from .scalar import Scalar, ZERO
 
 __all__ = ["StepFunction"]
@@ -43,12 +43,6 @@ class StepFunction:
         if c.is_zero:
             return cls(grid)
         return cls(grid, {cell: c for cell in grid.cells()})
-
-    @classmethod
-    def indicator(cls, grid: GridSpec, rect: DyadicRectangle) -> "StepFunction":
-        from .scalar import ONE
-
-        return cls(grid, {cell: ONE for cell in rect.cell_keys(grid.depth)})
 
     # -- access ---------------------------------------------------------------
 

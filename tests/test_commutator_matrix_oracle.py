@@ -17,7 +17,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dyadlab import commutator
 from dyadlab._kernels import power_iteration
 from dyadlab.commutator import (
     OperatorNormResult,
@@ -153,21 +152,6 @@ def outcome(fn, *args):
     except (CapExceededError, ValueError) as exc:
         return type(exc), str(exc)
     return None
-
-
-def test_cap_checked_before_any_analyze(monkeypatch):
-    grid = GridSpec((1,), (3,))
-    b = symbol(grid, 0)
-    ts = TensorShift.single(ShiftMap.preset(1))
-
-    def no_analyze(f):
-        raise AssertionError("analyze ran before the cap check")
-
-    monkeypatch.setattr(commutator, "analyze", no_analyze)
-    with pytest.raises(CapExceededError, match="basis size 8 exceeds cap 7"):
-        commutator_matrix(b, ts, grid, cap=7)
-    with pytest.raises(CapExceededError):
-        operator_norm(b, ts, grid, cap=7)
 
 
 @pytest.mark.parametrize("cap", [4096, 3], ids=["under-cap", "over-cap"])
