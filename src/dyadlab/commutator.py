@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -261,57 +261,49 @@ def one_parameter_terms(smap: ShiftMap, d: int) -> list[OneParamTerm]:
     return terms
 
 
-class _ChildSignRule:
+def _child_signs(entries):
     """Per-rectangle sign: product of symbol-Haar signs on shifted children."""
+    entries = tuple(entries)  # (param index, eps, shift map)
 
-    def __init__(self, entries):
-        self.entries = tuple(entries)  # (param index, eps, shift map)
-
-    def __call__(self, rect: DyadicRectangle) -> int:
+    def signs(rect: DyadicRectangle) -> int:
         sign = 1
-        for s, eps, smap in self.entries:
+        for s, eps, smap in entries:
             cube = rect.factors[s]
             child = smap.sigma_cube(cube)
             sign *= cube.haar_sign(eps, child.level, child.pos)
         return sign
 
+    return signs
+
 
 @dataclass(frozen=True)
 class DecompositionTerm:
-    """``coeff * post(B(b, pre(f)))`` with either shift possibly absent."""
+    """``coeff * post(B(b, pre(f)))``: each parameter's shift sits in
+    exactly one of ``pre`` and ``post``, the other holds ``None`` there."""
 
     coeff: int
     para: ParaproductSpec
-    pre: TensorShift | None
-    post: TensorShift | None
-    kinds: tuple = field(default=())
+    pre: TensorShift
+    post: TensorShift
+    kinds: tuple
 
     @property
     def pattern(self) -> str:
-        if self.pre is None and self.post is not None:
+        if not self.pre.active_slots():
             return "post"
-        if self.post is None and self.pre is not None:
+        if not self.post.active_slots():
             return "pre"
         return "mixed"
 
     def apply(self, b: StepFunction, f: StepFunction) -> StepFunction:
-        g = f if self.pre is None else tensor_apply_counting(self.pre, f)[0]
-        h = apply_paraproduct(self.para, b, g)
-        if self.post is not None:
-            h = tensor_apply_counting(self.post, h)[0]
+        g = tensor_apply_counting(self.pre, f)[0]
+        h = tensor_apply_counting(self.post, apply_paraproduct(self.para, b, g))[0]
         return h if self.coeff == 1 else h * Scalar(self.coeff)
 
     def descriptor(self) -> tuple:
-        per_param = tuple(
-            (
-                self.kinds[s],
-                self.para.eps1[s],
-                self.para.eps2[s],
-                self.para.eps3[s],
-            )
-            for s in range(self.para.t)
-        )
-        return (self.coeff, per_param)
+        """``(coeff, per-parameter (kind, eps1, eps2, eps3))``."""
+        p = self.para
+        return (self.coeff, tuple(zip(self.kinds, p.eps1, p.eps2, p.eps3)))
 
 
 @dataclass(frozen=True)
@@ -326,7 +318,7 @@ class Decomposition:
         """The sum of ``term.apply(b, f)`` over all terms, with each distinct
         pre-shift of ``f`` computed once and each distinct post-shift applied
         once, to the sum of its terms' paraproducts (shifts are linear)."""
-        pre_images = {None: f}
+        pre_images: dict = {}
         post_sums: dict = {}
         for term in self.terms:
             g = pre_images.get(term.pre)
@@ -339,11 +331,8 @@ class Decomposition:
             post_sums[term.post] = h if acc is None else acc + h
         out = StepFunction.zero(self.grid)
         for post, h in post_sums.items():
-            out = out + (h if post is None else tensor_apply_counting(post, h)[0])
+            out = out + tensor_apply_counting(post, h)[0]
         return out
-
-    def tensor_shift(self) -> TensorShift:
-        return TensorShift(self.maps)
 
 
 def decompose(maps, grid: GridSpec) -> Decomposition:
@@ -372,21 +361,9 @@ def decompose(maps, grid: GridSpec) -> Decomposition:
             for s, t in enumerate(combo)
             if t.sign_eps is not None
         ]
-        signs = _ChildSignRule(sign_entries) if sign_entries else None
-        pre_parts = [
-            maps[s] if t.position == "pre" else None
-            for s, t in enumerate(combo)
-        ]
-        post_parts = [
-            maps[s] if t.position == "post" else None
-            for s, t in enumerate(combo)
-        ]
-        pre = TensorShift(tuple(pre_parts)) if any(p is not None for p in pre_parts) else None
-        post = (
-            TensorShift(tuple(post_parts))
-            if any(p is not None for p in post_parts)
-            else None
-        )
+        signs = _child_signs(sign_entries) if sign_entries else None
+        pre = TensorShift(tuple(m if t.position == "pre" else None for m, t in zip(maps, combo)))
+        post = TensorShift(tuple(m if t.position == "post" else None for m, t in zip(maps, combo)))
         terms.append(
             DecompositionTerm(
                 coeff,
@@ -403,8 +380,9 @@ def verify_decomposition(
     D: Decomposition, b: StepFunction, f: StepFunction
 ) -> StepFunction:
     """Exact residual ``commutator - sum of terms``; zero when the inputs
-    keep clear of the truncation horizon (coarsest two levels of headroom)."""
-    direct = commutator_apply(b, D.tensor_shift(), f)
+    keep clear of the truncation horizon (two levels of headroom at the
+    finest end of each parameter)."""
+    direct = commutator_apply(b, TensorShift(D.maps), f)
     return direct - D.apply(b, f)
 
 

@@ -76,32 +76,13 @@ class DyadicCube:
     def volume(self) -> Fraction:
         return Fraction(1, 1 << (self.level * self.d))
 
-    def children(self) -> list["DyadicCube"]:
-        """The 2**d disjoint subcubes of the next level, in child-index order."""
-        out = []
-        for c in range(1 << self.d):
-            out.append(self.child(c))
-        return out
-
     def child(self, index: int) -> "DyadicCube":
+        """The subcube one level down whose upper half on axis ``j`` is
+        bit ``j`` of ``index``."""
         if not 0 <= index < (1 << self.d):
             raise ValueError("child index out of range")
         pos = tuple(2 * p + ((index >> j) & 1) for j, p in enumerate(self.pos))
         return DyadicCube(self.d, self.level + 1, pos)
-
-    def parent(self) -> "DyadicCube":
-        if self.level == 0:
-            raise ValueError("unit cube has no parent")
-        return DyadicCube(self.d, self.level - 1, tuple(p >> 1 for p in self.pos))
-
-    def child_index(self) -> int:
-        """Index of this cube within its parent."""
-        if self.level == 0:
-            raise ValueError("unit cube has no parent")
-        idx = 0
-        for j, p in enumerate(self.pos):
-            idx |= (p & 1) << j
-        return idx
 
     def contains(self, other: "DyadicCube") -> bool:
         if other.d != self.d or other.level < self.level:

@@ -230,7 +230,7 @@ def _sig_table(d: int):
     and the index pairs ``(low, high)`` that each axis's butterfly combines.
 
     A child cube's index is read the same way (bit ``j`` is its upper half
-    on axis ``j``), matching :meth:`DyadicCube.child_index`.
+    on axis ``j``), matching :meth:`DyadicCube.child`.
     """
     sigs = tuple(tuple((i >> j) & 1 for j in range(d)) for i in range(1 << d))
     pairs = tuple(
@@ -380,7 +380,7 @@ def _inverse(grid: GridSpec, items) -> StepFunction:
     for cell, x in vals.items():
         m, n = _unpack(x, bits)
         values[cell] = Scalar(m, n, e)
-    return _step_unchecked(grid, values)
+    return StepFunction._of(grid, values)
 
 
 def haar_pattern_sums(f: StepFunction, vecsig) -> tuple:
@@ -440,13 +440,6 @@ def _expansion_unchecked(grid, coeffs) -> HaarExpansion:
     e.grid = grid
     e.coeffs = coeffs
     return e
-
-
-def _step_unchecked(grid, values) -> StepFunction:
-    f = StepFunction.__new__(StepFunction)
-    f.grid = grid
-    f.values = values
-    return f
 
 
 def synthesize(e: HaarExpansion) -> StepFunction:
@@ -533,11 +526,10 @@ def random_haar_function(
     include_mean: bool = False,
 ) -> StepFunction:
     """Seeded random function with coefficients in {-8..8}/8 on the
-    all-strict Haar slots with factor levels bounded by ``max_levels``."""
+    all-strict Haar slots with factor levels bounded by ``max_levels``,
+    one bound per parameter."""
     if max_levels is None:
         max_levels = tuple(n - 1 for n in grid.depth)
-    elif isinstance(max_levels, int):
-        max_levels = (max_levels,) * grid.t
     per_param = []
     for s in range(grid.t):
         d = grid.dims[s]

@@ -61,7 +61,9 @@ _SQRT2 = float(np.sqrt(2.0))
 
 @dataclass(frozen=True)
 class ParaproductSpec:
-    """Signature triple plus a sign rule for the rectangle sum."""
+    """Signature triple plus a sign rule for the rectangle sum: ``signs``
+    is ``None`` (every sign +1) or a function of the rectangle, where a
+    negative value flips that rectangle's sign."""
 
     eps1: tuple
     eps2: tuple
@@ -76,13 +78,6 @@ class ParaproductSpec:
     @property
     def t(self) -> int:
         return len(self.eps1)
-
-    def sign(self, rect: DyadicRectangle) -> int:
-        if self.signs is None:
-            return 1
-        if callable(self.signs):
-            return 1 if self.signs(rect) >= 0 else -1
-        return 1 if self.signs.get(rect, 1) >= 0 else -1
 
     def is_admissible(self) -> bool:
         """At most one all-ones part per parameter across the three slots."""
@@ -99,11 +94,12 @@ class ParaproductSpec:
         return self.is_admissible() and all(is_strict(sig) for sig in self.eps1)
 
 
-def random_signs(grid: GridSpec, seed: int) -> dict:
+def random_signs(grid: GridSpec, seed: int):
+    """Seeded sign rule: one +-1 draw per rectangle of ``grid``."""
     rng = np.random.default_rng(seed)
     rects = enumerate_rectangles(grid)
     flips = rng.integers(0, 2, size=len(rects))
-    return {r: (1 if f == 0 else -1) for r, f in zip(rects, flips)}
+    return {r: (1 if f == 0 else -1) for r, f in zip(rects, flips)}.__getitem__
 
 
 def apply_paraproduct(
@@ -144,7 +140,7 @@ def apply_paraproduct(
             rect = DyadicRectangle(
                 tuple(DyadicCube(d, level, pos) for (level, pos), d in zip(cubes, dims))
             )
-            if spec.sign(rect) < 0:
+            if spec.signs(rect) < 0:
                 m, n = -m, -n
         shift = 2 * sum(level * d for (level, _), d in zip(cubes, dims))
         out = tuple(c + (sig,) for c, sig in zip(cubes, spec.eps3))

@@ -44,6 +44,15 @@ class StepFunction:
             return cls(grid)
         return cls(grid, {cell: c for cell in grid.cells()})
 
+    @classmethod
+    def _of(cls, grid: GridSpec, values: dict) -> "StepFunction":
+        """Trusted constructor: stores ``values`` as given, which must map
+        cells to nonzero Scalars."""
+        f = cls.__new__(cls)
+        f.grid = grid
+        f.values = values
+        return f
+
     # -- access ---------------------------------------------------------------
 
     def value_at(self, cell) -> Scalar:
@@ -77,19 +86,13 @@ class StepFunction:
                 out.pop(cell, None)
             else:
                 out[cell] = s
-        f = StepFunction.__new__(StepFunction)
-        f.grid = self.grid
-        f.values = out
-        return f
+        return StepFunction._of(self.grid, out)
 
     def __sub__(self, other: "StepFunction") -> "StepFunction":
         return self + (-other)
 
     def __neg__(self) -> "StepFunction":
-        f = StepFunction.__new__(StepFunction)
-        f.grid = self.grid
-        f.values = {cell: -v for cell, v in self.values.items()}
-        return f
+        return StepFunction._of(self.grid, {cell: -v for cell, v in self.values.items()})
 
     def __mul__(self, other):
         """Pointwise product with a StepFunction, or scaling by a Scalar/int."""
@@ -105,17 +108,11 @@ class StepFunction:
                     p = v * w
                     if not p.is_zero:
                         out[cell] = p
-            f = StepFunction.__new__(StepFunction)
-            f.grid = self.grid
-            f.values = out
-            return f
+            return StepFunction._of(self.grid, out)
         c = Scalar.coerce(other)
         if c.is_zero:
             return StepFunction(self.grid)
-        f = StepFunction.__new__(StepFunction)
-        f.grid = self.grid
-        f.values = {cell: v * c for cell, v in self.values.items()}
-        return f
+        return StepFunction._of(self.grid, {cell: v * c for cell, v in self.values.items()})
 
     __rmul__ = __mul__
 

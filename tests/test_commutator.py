@@ -300,6 +300,26 @@ def test_tensor_term_list_is_product_of_factors():
         assert all(t.para.is_bmo_admissible() for t in D2.terms)
 
 
+def _every_rule(d):
+    """Every cube rule, each with the cyclic and every kill signature rule."""
+    cubes = ["first-child", "rotating"] + [("child", c) for c in range(1 << d)]
+    sigs = ["cyclic"] + [("kill", sig) for sig in strict_signatures(d)]
+    return [ShiftMap(d, c, sig) for c in cubes for sig in sigs]
+
+
+@pytest.mark.parametrize("dims", [(1,), (2,), (1, 1), (2, 2), (2, 1), (1, 1, 1), (2, 1, 2)])
+def test_every_term_shifts_each_parameter_once(dims):
+    rules = {d: _every_rule(d) for d in dims}
+    for k in range(max(map(len, rules.values()))):
+        # parameter s takes rule k + s, so every rule reaches every parameter
+        maps = [rules[d][(k + s) % len(rules[d])] for s, d in enumerate(dims)]
+        for term in decompose(maps, GridSpec(dims, (2,) * len(dims))).terms:
+            for s, m in enumerate(maps):
+                assert (term.pre.parts[s], term.post.parts[s]) in ((m, None), (None, m))
+            pre, post = term.pre.active_slots(), term.post.active_slots()
+            assert term.pattern == ("mixed" if pre and post else "pre" if pre else "post")
+
+
 def test_mixed_patterns_present_at_t2():
     g2 = GridSpec((1, 1), (2, 2))
     D2 = decompose([FIRST, FIRST], g2)

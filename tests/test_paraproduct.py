@@ -89,7 +89,7 @@ def test_sign_flip_changes_by_twice_the_term():
     base = apply_paraproduct(SPEC1, b, f)
     target = interval(1, 0)
     flipped_spec = ParaproductSpec(
-        SPEC1.eps1, SPEC1.eps2, SPEC1.eps3, {target: -1}
+        SPEC1.eps1, SPEC1.eps2, SPEC1.eps3, lambda r: -1 if r == target else 1
     )
     flipped = apply_paraproduct(flipped_spec, b, f)
     c1 = haar_coefficient(b, target, ((0,),))

@@ -48,7 +48,7 @@ def cell_space_paraproduct(spec, f1, f2) -> StepFunction:
         if c2.is_zero:
             continue
         w = c1 * c2 * rect.inv_sqrt_volume()
-        if spec.sign(rect) < 0:
+        if spec.signs is not None and spec.signs(rect) < 0:
             w = -w
         for cell in rect.cell_keys(grid.depth):
             add = w * haar_cell_value(grid, rect, spec.eps3, cell)
@@ -117,7 +117,9 @@ def test_finest_level_averages_give_the_pointwise_product():
     ones = ((1,),)
     b, f = _inputs(grid, 3)
     plus = apply_paraproduct(ParaproductSpec(ones, ones, ones), b, f)
-    coarse = {r: -1 for r in enumerate_rectangles(grid) if r.levels[0] < 3}
+    def coarse(r):
+        return -1 if r.levels[0] < 3 else 1
+
     flipped = apply_paraproduct(ParaproductSpec(ones, ones, ones, coarse), b, f)
     assert plus + flipped == b * f * 2
     assert plus == cell_space_paraproduct(ParaproductSpec(ones, ones, ones), b, f)
