@@ -30,7 +30,6 @@ from dyadlab.paraproduct import (
     ParaproductSpec,
     apply_paraproduct,
     bmo_norm,
-    empirical_paraproduct_bound,
     random_signs,
 )
 from dyadlab.riesz import draw_grid_samples, riesz_matrix, sample_shift_matrix, span_residual
@@ -63,6 +62,42 @@ def opnorm_fixture():
     with open(OUT / "opnorm_oracle.json", "w") as fh:
         json.dump({"single_haar": family, "envelope": env}, fh, indent=1)
     print("opnorm fixture:", family, env)
+
+
+def empirical_paraproduct_bound(
+    spec: ParaproductSpec,
+    grid: GridSpec,
+    seeds,
+    bmo_mode: str = "greedy-union",
+):
+    """Worst observed ``|B(b,f)|_2 / (|b|_BMO |f|_2)`` over seeded trials.
+
+    Trials with no strict content in ``b`` are skipped (the ratio is
+    undefined).  Returns ``(rows, max_ratio)`` where each row records the
+    seed, depth, ratio and the BMO mode used.
+    """
+    if not spec.is_bmo_admissible():
+        raise ValueError("spec is not BMO-admissible")
+    rows = []
+    max_ratio = 0.0
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        b = random_haar_function(grid, rng)
+        f = random_haar_function(grid, rng)
+        est = bmo_norm(b, bmo_mode)
+        f_norm = float(np.sqrt(float(f.l2_norm_sq())))
+        if est.value == 0.0 or f_norm == 0.0:
+            rows.append(
+                {"seed": seed, "depth": grid.depth, "ratio": None, "bmo_mode": bmo_mode}
+            )
+            continue
+        out = apply_paraproduct(spec, b, f)
+        ratio = float(np.sqrt(float(out.l2_norm_sq()))) / (est.value * f_norm)
+        max_ratio = max(max_ratio, ratio)
+        rows.append(
+            {"seed": seed, "depth": grid.depth, "ratio": ratio, "bmo_mode": bmo_mode}
+        )
+    return rows, max_ratio
 
 
 def paraproduct_fixture():

@@ -10,7 +10,9 @@ A ``ratio`` config over ``dims [1]`` also gets ``--fixtures
 tests/fixtures/opnorm_oracle.json``.  ``OUTDIR/<stem>/`` receives the
 ``--out`` reports under ``out/``, plus ``stdout``, ``stderr`` and
 ``exit_code``.  Every path handed to a run is relative to its working
-directory, so two checkouts' trees compare with ``diff -r``.
+directory, so two checkouts' trees compare with ``diff -r``.  Every config
+runs and writes its tree; the script exits 1 if any of them exited
+non-zero, since every shipped config is meant to pass.
 """
 
 import json
@@ -57,9 +59,12 @@ def main(argv=None) -> int:
         print("usage: python scripts/run_configs.py OUTDIR", file=sys.stderr)
         return 2
     outdir = Path(args[0]).resolve()
+    failed = False
     for config in sorted((ROOT / "configs").glob("*.json")):
-        print(f"{config.stem}: exit {run(config, outdir)}")
-    return 0
+        code = run(config, outdir)
+        print(f"{config.stem}: exit {code}")
+        failed |= code != 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ exact shift/paraproduct decomposition, and a floating-point lab for
 discrete Riesz multipliers.
 """
 
-from .scalar import Scalar, SQRT2, ZERO, ONE, sqrt2_pow, from_fraction
+from .scalar import Scalar, SQRT2, ZERO, ONE, sqrt2_pow
 from .grid import (
     DyadicCube,
     DyadicRectangle,
@@ -27,7 +27,6 @@ from .haar import (
     synthesize,
     haar_function,
     haar_coefficient,
-    square_function,
     square_function_sq,
     haar_basis_keys,
     random_haar_function,
@@ -44,7 +43,6 @@ from .paraproduct import (
     BmoEstimate,
     bmo_norm,
     random_signs,
-    empirical_paraproduct_bound,
 )
 from .commutator import (
     CaseLabel,

@@ -46,7 +46,8 @@ class ConfigError(Exception):
 # -- the schema ------------------------------------------------------------------------
 #
 # A field's type and its bound are both (predicate, rule) pairs.  The type
-# predicate sees the raw JSON value; booleans never pass as integers.  The
+# predicate sees the raw JSON value; booleans never pass as integers, and a
+# list is never empty, since a run over an empty list checks nothing.  The
 # bound predicate sees the typed value and the fields resolved before it.
 
 
@@ -55,7 +56,7 @@ def _is_int(v) -> bool:
 
 
 def _is_ints(v) -> bool:
-    return isinstance(v, list) and all(map(_is_int, v))
+    return isinstance(v, list) and bool(v) and all(map(_is_int, v))
 
 
 def _is_symbol(v) -> bool:
@@ -78,7 +79,7 @@ def _is_symbol(v) -> bool:
 
 
 _INT = (_is_int, "an integer")
-_INTS = (_is_ints, "a list of integers")
+_INTS = (_is_ints, "a list of integers (non-empty)")
 _BOOL = (lambda v: isinstance(v, bool), "true or false")
 _SYMBOL = (_is_symbol, "random, constant, single-haar or {rect_levels, rect_pos, sigs}")
 
@@ -89,22 +90,24 @@ def _one_of(choices):
 
 def _list_of(choices):
     one = _one_of(choices)[0]
-    return (lambda v: isinstance(v, list) and all(map(one, v)), f"a list of {list(choices)}")
+    return (
+        lambda v: isinstance(v, list) and bool(v) and all(map(one, v)),
+        f"a list of {list(choices)} (non-empty)",
+    )
 
 
 def _at_least(lo):
-    return (lambda v, c: min(v if isinstance(v, list) else [v], default=lo) >= lo, f"be >= {lo}")
+    return (lambda v, c: min(v if isinstance(v, list) else [v]) >= lo, f"be >= {lo}")
 
 
 def _per_dim(lo=None):
     """One entry per entry of ``dims``, each at least ``lo`` if given."""
     return (
-        lambda v, c: len(v) == len(c["dims"]) and (lo is None or min(v, default=lo) >= lo),
+        lambda v, c: len(v) == len(c["dims"]) and (lo is None or min(v) >= lo),
         "have one entry per entry of dims" + ("" if lo is None else f", each >= {lo}"),
     )
 
 
-_DIMS = (lambda v, c: bool(v) and min(v) >= 1, "be non-empty, each >= 1")
 # the truncation horizon: some decomposition terms shift twice
 _HORIZON = (
     lambda v, c: len(v) == len(c["depths"])
@@ -156,7 +159,7 @@ class Field(NamedTuple):
 
 # the product grid and its per-parameter shift rules, declared once for
 # every command that builds one shift per parameter
-_GRID_DIMS = Field("dims", _INTS, [1], _DIMS)
+_GRID_DIMS = Field("dims", _INTS, [1], _at_least(1))
 _CUBE_RULES = Field("cube_rules", _list_of(CUBE_PRESETS),
                     lambda c: ["first-child"] * len(c["dims"]), _per_dim())
 _SIG_RULES = Field("sig_rules", _list_of(SIG_PRESETS),
@@ -166,7 +169,7 @@ _SCHEMAS = {
     "verify-cases": (
         Field("d", _INT, 1, (lambda d, c: d in (1, 2), "be 1 or 2")),
         Field("depth", _INT, _max_pair_depth, (
-            lambda n, c: -1 <= n <= _max_pair_depth(c), "be from -1 to 4 (d=1) or 2 (d=2)")),
+            lambda n, c: 0 <= n <= _max_pair_depth(c), "be from 0 to 4 (d=1) or 2 (d=2)")),
         Field("cube_rules", _list_of(CUBE_PRESETS), ["first-child", "rotating"]),
         Field("sig_rules", _list_of(SIG_PRESETS), ["identity"]),
     ),
@@ -180,7 +183,7 @@ _SCHEMAS = {
         Field("max_levels", _INTS, lambda c: [n - 2 for n in c["depths"]], _HORIZON),
     ),
     "bmo": (
-        Field("dims", _INTS, [1, 1], _DIMS),
+        Field("dims", _INTS, [1, 1], _at_least(1)),
         Field("depths", _INTS, [2, 2], _per_dim(0)),
         Field("seeds", _INTS, list(range(10)), _at_least(0)),
         Field("modes", _list_of(para.BMO_MODES), ["rectangle-sup", "greedy-union"]),
@@ -338,8 +341,6 @@ def cmd_verify_cases(plan: dict, out) -> int:
                             f"{cell}={v!r}" for cell, v in sorted(diff.values.items())
                         ),
                     })
-    if pairs == 0:
-        print("warning: empty grid, zero pairs checked")
     summary = {"pairs": pairs, "mismatches": len(rows)}
     _write_reports(out, "verify_cases", _CASE_COLUMNS, rows, {"plan": plan, "summary": summary})
     print(f"verify-cases: {pairs} pairs, {len(rows)} mismatches")

@@ -287,14 +287,6 @@ class DecompositionTerm:
     post: TensorShift
     kinds: tuple
 
-    @property
-    def pattern(self) -> str:
-        if not self.pre.active_slots():
-            return "post"
-        if not self.post.active_slots():
-            return "pre"
-        return "mixed"
-
     def apply(self, b: StepFunction, f: StepFunction) -> StepFunction:
         g = tensor_apply_counting(self.pre, f)[0]
         h = tensor_apply_counting(self.post, apply_paraproduct(self.para, b, g))[0]

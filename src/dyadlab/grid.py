@@ -140,22 +140,11 @@ class DyadicRectangle:
         return len(self.factors)
 
     @property
-    def levels(self) -> tuple[int, ...]:
-        return tuple(c.level for c in self.factors)
-
-    @property
     def volume(self) -> Fraction:
         v = Fraction(1)
         for c in self.factors:
             v *= c.volume
         return v
-
-    def inv_sqrt_volume(self) -> Scalar:
-        """Exact ``|R|**(-1/2)``."""
-        from .scalar import sqrt2_pow
-
-        e = sum(c.level * c.d for c in self.factors)
-        return sqrt2_pow(e)
 
     def contains(self, other: "DyadicRectangle") -> bool:
         if other.t != self.t:
@@ -239,13 +228,7 @@ class GridSpec:
 
 
 @lru_cache(maxsize=None)
-def _rectangles(grid: GridSpec) -> tuple[DyadicRectangle, ...]:
-    per_param = [tuple(grid.cubes(s)) for s in range(grid.t)]
-    return tuple(
-        DyadicRectangle(f) for f in itertools.product(*per_param)
-    )
-
-
-def enumerate_rectangles(g: GridSpec) -> list[DyadicRectangle]:
+def enumerate_rectangles(grid: GridSpec) -> tuple[DyadicRectangle, ...]:
     """All rectangles with factor levels in [0, depth[s]] per parameter."""
-    return list(_rectangles(g))
+    per_param = [tuple(grid.cubes(s)) for s in range(grid.t)]
+    return tuple(DyadicRectangle(f) for f in itertools.product(*per_param))

@@ -40,8 +40,6 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-import numpy as np
-
 from .grid import (
     DyadicCube,
     DyadicRectangle,
@@ -62,7 +60,6 @@ __all__ = [
     "synthesize",
     "haar_pattern_sums",
     "synthesize_patterns",
-    "square_function",
     "square_function_sq",
     "haar_basis_keys",
     "mean_key",
@@ -466,7 +463,7 @@ def square_function_sq(f: StepFunction) -> StepFunction:
 
     Sums ``mass_R * 1_R / |R|`` over the rectangles, with ``mass_R`` the
     strict mass of :meth:`HaarExpansion.strict_masses`; the square root (a
-    float) is taken by :func:`square_function`.  Since ``1_R / |R|`` is
+    float) is left to the caller.  Since ``1_R / |R|`` is
     ``|R|**(-1/2)`` times the all-ones Haar function of ``R``, this is one
     synthesis of those keys.
     """
@@ -477,12 +474,6 @@ def square_function_sq(f: StepFunction) -> StepFunction:
         for rect, mass in analyze(f).strict_masses().items()
     }
     return synthesize(_expansion_unchecked(grid, coeffs))
-
-
-def square_function(f: StepFunction) -> np.ndarray:
-    """Float square function values in canonical cell order."""
-    sq = square_function_sq(f)
-    return np.sqrt(sq.to_array())
 
 
 # -- bases and random functions ----------------------------------------------------

@@ -15,7 +15,9 @@ force over every nonempty cell subset (capped at 20 cells).  All three
 read one Carleson table per call, the finest cells as bit positions and
 one ``(cell mask, strict mass)`` entry per rectangle, and compare ratios
 with one exact test; the brute force and the mode-monotonicity
-comparisons are exact.
+comparisons are exact.  The seeded boundedness probe built on these,
+which records ``tests/fixtures/paraproduct_ratio.json``, lives in
+``scripts/record_fixtures.py``.
 """
 
 from __future__ import annotations
@@ -38,10 +40,9 @@ from .haar import (
     analyze,
     haar_coefficient,  # noqa: F401  rebound in bench/test_bench.py::test_tracer_rebinds_imported_copies
     haar_pattern_sums,
-    random_haar_function,
     synthesize_patterns,
 )
-from .scalar import Scalar, ZERO
+from .scalar import _SQRT2_FLOAT, Scalar, ZERO
 from .stepfn import StepFunction
 
 __all__ = [
@@ -50,13 +51,10 @@ __all__ = [
     "BmoEstimate",
     "bmo_norm",
     "random_signs",
-    "empirical_paraproduct_bound",
     "BMO_MODES",
 ]
 
 BMO_MODES = ("rectangle-sup", "greedy-union", "exact-bruteforce")
-
-_SQRT2 = float(np.sqrt(2.0))
 
 
 @dataclass(frozen=True)
@@ -256,7 +254,7 @@ def _exact_bruteforce(ncells: int, entries):
     pc = popcounts(n_subsets)
     if fits:
         zeta_sos(a, bvec, ncells)
-        vals = (a.astype(np.float64) + bvec.astype(np.float64) * _SQRT2) / np.maximum(pc, 1)
+        vals = (a.astype(np.float64) + bvec.astype(np.float64) * _SQRT2_FLOAT) / np.maximum(pc, 1)
         vals[0] = -np.inf
         # With u = 2**-53 and |d_i| <= u, the float ratio of subset S is
         # (a(1+d1) + b*sqrt2(1+d2)(1+d3)(1+d4))(1+d5)/p * (1+d6): a, b,
@@ -267,7 +265,7 @@ def _exact_bruteforce(ncells: int, entries):
         # The exact best is then within 2E of the float maximum.  The window
         # takes 16 for 2 * 5.1; the rest covers its own roundings.  (A bound
         # per subset costs seven times this filter's time on 2**16 subsets.)
-        window = 16 * 2.0**-53 * (abs_a + abs_b * _SQRT2)
+        window = 16 * 2.0**-53 * (abs_a + abs_b * _SQRT2_FLOAT)
         candidates = np.nonzero(vals >= vals.max() - window)[0]
     else:
         _zeta_sos_loop(a, bvec, ncells)
@@ -327,42 +325,3 @@ def bmo_norm(b: StepFunction, mode: str = "greedy-union") -> BmoEstimate:
     witness = frozenset(c for i, c in enumerate(cells) if mask >> i & 1)
     value = float(np.sqrt(float(mass) / (count * float(grid.cell_volume))))
     return BmoEstimate(mode, value, witness, mass, count)
-
-
-# -- empirical boundedness probe ---------------------------------------------------
-
-
-def empirical_paraproduct_bound(
-    spec: ParaproductSpec,
-    grid: GridSpec,
-    seeds,
-    bmo_mode: str = "greedy-union",
-):
-    """Worst observed ``|B(b,f)|_2 / (|b|_BMO |f|_2)`` over seeded trials.
-
-    Trials with no strict content in ``b`` are skipped (the ratio is
-    undefined).  Returns ``(rows, max_ratio)`` where each row records the
-    seed, depth, ratio and the BMO mode used.
-    """
-    if not spec.is_bmo_admissible():
-        raise ValueError("spec is not BMO-admissible")
-    rows = []
-    max_ratio = 0.0
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
-        b = random_haar_function(grid, rng)
-        f = random_haar_function(grid, rng)
-        est = bmo_norm(b, bmo_mode)
-        f_norm = float(np.sqrt(float(f.l2_norm_sq())))
-        if est.value == 0.0 or f_norm == 0.0:
-            rows.append(
-                {"seed": seed, "depth": grid.depth, "ratio": None, "bmo_mode": bmo_mode}
-            )
-            continue
-        out = apply_paraproduct(spec, b, f)
-        ratio = float(np.sqrt(float(out.l2_norm_sq()))) / (est.value * f_norm)
-        max_ratio = max(max_ratio, ratio)
-        rows.append(
-            {"seed": seed, "depth": grid.depth, "ratio": ratio, "bmo_mode": bmo_mode}
-        )
-    return rows, max_ratio

@@ -95,10 +95,6 @@ class RandomGridSample:
     sig_rotation: int
     seed: int
 
-    @property
-    def t_value(self) -> float:
-        return self.t_num / (1 << self.t_log2den)
-
 
 def draw_grid_samples(d: int, n: int, count: int, seed: int) -> list[RandomGridSample]:
     """Reproducible sample list; one rng stream per master seed."""

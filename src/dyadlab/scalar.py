@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-__all__ = ["Scalar", "ZERO", "ONE", "SQRT2", "sqrt2_pow", "from_fraction"]
+__all__ = ["Scalar", "ZERO", "ONE", "SQRT2", "sqrt2_pow"]
 
 _SQRT2_FLOAT = math.sqrt(2.0)
 
@@ -61,8 +61,6 @@ class Scalar:
             return x
         if isinstance(x, int):
             return Scalar(x, 0, 0)
-        if isinstance(x, Fraction):
-            return from_fraction(x)
         raise TypeError(f"cannot coerce {type(x).__name__} to Scalar")
 
     # -- views -------------------------------------------------------------
@@ -222,9 +220,6 @@ class Scalar:
     def __ge__(self, other) -> bool:
         return (self - Scalar.coerce(other))._sign() >= 0
 
-    def __abs__(self) -> "Scalar":
-        return -self if self._sign() < 0 else self
-
     def __repr__(self) -> str:
         if self.n == 0:
             return f"Scalar({self.rational_part})"
@@ -244,19 +239,3 @@ def sqrt2_pow(k: int) -> Scalar:
         return Scalar(0, 1, (1 - k) // 2)
     return Scalar(1, 0, -k // 2)
 
-
-def from_fraction(r, s=0) -> Scalar:
-    """Build ``r + s*sqrt(2)`` from dyadic fractions.
-
-    Raises ``ValueError`` when a denominator is not a power of two; such
-    values do not belong to the ring.
-    """
-    r = Fraction(r)
-    s = Fraction(s)
-    out = ZERO
-    for part, unit in ((r, ONE), (s, SQRT2)):
-        den = part.denominator
-        if den & (den - 1):
-            raise ValueError(f"{part} is not a dyadic rational")
-        out = out + Scalar(part.numerator, 0, den.bit_length() - 1) * unit
-    return out

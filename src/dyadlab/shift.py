@@ -121,10 +121,6 @@ class TensorShift:
     def single(cls, smap: ShiftMap) -> "TensorShift":
         return cls((smap,))
 
-    @classmethod
-    def identity(cls, t: int) -> "TensorShift":
-        return cls((None,) * t)
-
     @property
     def t(self) -> int:
         return len(self.parts)

@@ -3,7 +3,7 @@
 A :class:`StepFunction` assigns a :class:`~dyadlab.scalar.Scalar` to each
 finest cell of a :class:`~dyadlab.grid.GridSpec`; unset cells read as
 zero.  All arithmetic (sums, pointwise products, squared L2 norms) is
-exact.  Floats appear only in ``lp_norm`` and ``to_array``.
+exact.  Floats appear only in ``to_array``.
 """
 
 from __future__ import annotations
@@ -131,17 +131,6 @@ class StepFunction:
         for v in self.values.values():
             total = total + v * v
         return total * vol
-
-    def lp_norm(self, p) -> float:
-        """Float ``L^p`` norm; use :meth:`l2_norm_sq` for the exact p=2 value."""
-        if p == float("inf"):
-            return max((abs(float(v)) for v in self.values.values()), default=0.0)
-        p = float(p)
-        if p < 1:
-            raise ValueError("p must be >= 1")
-        vol = float(self.grid.cell_volume)
-        total = sum(abs(float(v)) ** p for v in self.values.values()) * vol
-        return total ** (1.0 / p)
 
     def to_array(self) -> np.ndarray:
         """Float values in the canonical cell order of the grid."""

@@ -51,10 +51,15 @@ def test_verify_cases_small_grid_passes(tmp_path):
     assert rows["meta"]["summary"]["pairs"] == 7 * 7
 
 
-def test_verify_cases_empty_grid_warns(tmp_path, capsys):
-    cfg = write_config(tmp_path, {"schema_version": 1, "d": 1, "depth": -1})
-    assert run(["verify-cases", "--config", cfg]) == cli.EXIT_OK
-    assert "zero pairs" in capsys.readouterr().out
+@pytest.mark.parametrize(
+    "cfg, key", [({"depth": -1}, "depth"), ({"cube_rules": []}, "cube_rules")]
+)
+def test_verify_cases_empty_grid_is_config_error(tmp_path, capsys, cfg, key):
+    # a run that would check zero pairs is refused before it starts
+    path = write_config(tmp_path, {"schema_version": 1, "d": 1, **cfg})
+    assert run(["verify-cases", "--config", path]) == cli.EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == "" and key in err
 
 
 def test_verify_cases_depth_cap(tmp_path):
@@ -396,6 +401,10 @@ def test_opnorm_nonconvergence_fails_closed(tmp_path, monkeypatch):
             ["--fixtures", str(Path(__file__).parent / "fixtures" / "opnorm_oracle.json")],
             "fixtures",
         ),
+        ("verify-cases", {"depth": -1}, [], "depth"),
+        ("verify-cases", {"cube_rules": []}, [], "cube_rules"),
+        ("verify-decomposition", {"depths": [3], "seeds": []}, [], "seeds"),
+        ("ratio", {"depths": [3]}, ["--seed-list", ""], "seeds"),
     ],
 )
 def test_bad_config_is_config_error(tmp_path, monkeypatch, capsys, command, cfg, flags, key):

@@ -216,7 +216,8 @@ def test_decomposition_term_count_d1():
     ]
     for t in D.terms:
         assert t.para.is_bmo_admissible()
-        assert t.pattern in ("pre", "post")
+        # one parameter: its shift is on exactly one side
+        assert sorted([len(t.pre.active_slots()), len(t.post.active_slots())]) == [0, 1]
 
 
 def test_decomposition_zero_inputs():
@@ -316,15 +317,14 @@ def test_every_term_shifts_each_parameter_once(dims):
         for term in decompose(maps, GridSpec(dims, (2,) * len(dims))).terms:
             for s, m in enumerate(maps):
                 assert (term.pre.parts[s], term.post.parts[s]) in ((m, None), (None, m))
-            pre, post = term.pre.active_slots(), term.post.active_slots()
-            assert term.pattern == ("mixed" if pre and post else "pre" if pre else "post")
 
 
 def test_mixed_patterns_present_at_t2():
     g2 = GridSpec((1, 1), (2, 2))
     D2 = decompose([FIRST, FIRST], g2)
-    patterns = {t.pattern for t in D2.terms}
-    assert "mixed" in patterns and "pre" in patterns and "post" in patterns
+    # (shift before the paraproduct, shift after it): mixed, pre only, post only
+    sides = {(bool(t.pre.active_slots()), bool(t.post.active_slots())) for t in D2.terms}
+    assert {(True, True), (True, False), (False, True)} <= sides
 
 
 # -- operator norms -------------------------------------------------------------------

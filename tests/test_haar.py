@@ -16,7 +16,6 @@ from dyadlab.haar import (
     basis_function,
     mean_key,
     random_haar_function,
-    square_function,
     square_function_sq,
     synthesize,
 )
@@ -167,7 +166,7 @@ def test_square_function_single_haar():
     sq = square_function_sq(h)
     assert sq.value_at(((0,),)) == Scalar(2)
     assert sq.value_at(((2,),)) == ZERO
-    s = square_function(h)
+    s = np.sqrt(square_function_sq(h).to_array())
     assert np.allclose(s, [np.sqrt(2), np.sqrt(2), 0, 0])
 
 
@@ -202,15 +201,9 @@ def test_basis_size_matches_cell_count():
         assert len(haar_basis_keys(grid)) == grid.cell_count
 
 
-def test_lp_norm_examples():
-    import pytest as _pytest
-
+def test_haar_function_l2_normalized():
     h = haar_function(G1, interval(0, 0), ((0,),))
-    assert h.lp_norm(1) == _pytest.approx(1.0)
-    assert float(h.l2_norm_sq()) == _pytest.approx(1.0)
-    one = StepFunction.constant(G1, 1)
-    for p in (1, 1.5, 2, 7, float("inf")):
-        assert one.lp_norm(p) == _pytest.approx(1.0)
+    assert float(h.l2_norm_sq()) == pytest.approx(1.0)
     cross = haar_function(G11, G11.unit_rectangle(), ((0,), (0,)))
     assert cross.l2_norm_sq() == Scalar(1)
 

@@ -33,7 +33,7 @@ from dyadlab.haar import (
     mean_key,
     synthesize,
 )
-from dyadlab.scalar import ONE, ZERO, Scalar
+from dyadlab.scalar import ONE, ZERO, Scalar, sqrt2_pow
 from dyadlab.stepfn import StepFunction
 
 MAX_CELL_BITS = 6
@@ -152,7 +152,7 @@ def test_pattern_sums_are_scaled_coefficients(f, data):
         slots = tuple((c.level, c.pos, sig) for c, sig in zip(cubes, vecsig))
         m, n = sums.get(slots, (0, 0))
         seen += slots in sums
-        got = Scalar(m, n, e + cell_e) * rect.inv_sqrt_volume()
+        got = Scalar(m, n, e + cell_e) * sqrt2_pow(sum(c.level * c.d for c in rect.factors))
         assert got == want, rect
     assert seen == len(sums)
 

@@ -1,4 +1,5 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports and defines
+each name it exports.
 
 An import kept for something outside the module (a tool that looks the
 name up there) must say so on its line: ``# noqa: F401`` followed by the
@@ -6,6 +7,7 @@ reason.  ``__init__.py`` is exempt, since re-exporting is its job.
 """
 
 import ast
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -42,6 +44,13 @@ def unused_imports(source: str) -> list[str]:
 @pytest.mark.parametrize("module", MODULES)
 def test_module_uses_every_import(module):
     assert unused_imports((SRC / module).read_text()) == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_defines_every_export(module):
+    # a deleted function whose name stays in __all__ breaks `import *` only
+    mod = importlib.import_module(f"dyadlab.{module[:-3]}")
+    assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []
 
 
 def test_checker_flags_unused_and_honours_reasoned_noqa():

@@ -16,10 +16,9 @@ from dyadlab.paraproduct import (
     ParaproductSpec,
     apply_paraproduct,
     bmo_norm,
-    empirical_paraproduct_bound,
     random_signs,
 )
-from dyadlab.scalar import Scalar, ZERO
+from dyadlab.scalar import Scalar, ZERO, sqrt2_pow
 from dyadlab.stepfn import StepFunction
 
 
@@ -77,7 +76,7 @@ def test_single_term_survives():
             continue
         c1 = haar_coefficient(h0(), rect, ((0,),))
         c2 = haar_coefficient(h0(), rect, ((0,),))
-        term = c1 * c2 * rect.inv_sqrt_volume()
+        term = c1 * c2 * sqrt2_pow(sum(c.level * c.d for c in rect.factors))
         brute = brute + term * haar_function(G1, rect, ((1,),))
     assert brute == out
 
@@ -94,7 +93,8 @@ def test_sign_flip_changes_by_twice_the_term():
     flipped = apply_paraproduct(flipped_spec, b, f)
     c1 = haar_coefficient(b, target, ((0,),))
     c2 = haar_coefficient(f, target, ((0,),))
-    term = c1 * c2 * target.inv_sqrt_volume() * haar_function(G1, target, ((1,),))
+    rsqrt = sqrt2_pow(sum(c.level * c.d for c in target.factors))
+    term = c1 * c2 * rsqrt * haar_function(G1, target, ((1,),))
     assert base - flipped == term * Scalar(2)
 
 
@@ -223,17 +223,18 @@ def test_empirical_bound_single_haar_ratio_one():
     assert ratio == pytest.approx(1.0, abs=1e-12)
 
 
-def test_empirical_bound_skips_zero_symbol():
-    rows, max_ratio = empirical_paraproduct_bound(SPEC1, G1, seeds=[0, 1])
+def test_empirical_bound_skips_zero_symbol(record_fixtures):
+    bound = record_fixtures.empirical_paraproduct_bound
+    rows, max_ratio = bound(SPEC1, G1, seeds=[0, 1])
     assert len(rows) == 2
-    rows2, _ = empirical_paraproduct_bound(SPEC1, GridSpec((1,), (1,)), seeds=[0])
+    rows2, _ = bound(SPEC1, GridSpec((1,), (1,)), seeds=[0])
     # depth-1 grids can produce zero symbols; skipped rows carry ratio None
     assert all("ratio" in r for r in rows2)
 
 
-def test_empirical_bound_requires_bmo_admissible():
+def test_empirical_bound_requires_bmo_admissible(record_fixtures):
     with pytest.raises(ValueError):
-        empirical_paraproduct_bound(
+        record_fixtures.empirical_paraproduct_bound(
             ParaproductSpec(((1,),), ((0,),), ((0,),)), G1, seeds=[0]
         )
 
@@ -246,13 +247,13 @@ def _load_fixture():
         return json.load(fh)
 
 
-def test_empirical_bound_matches_recorded_depths():
+def test_empirical_bound_matches_recorded_depths(record_fixtures):
     # seeded runs reproduce the recorded maxima and stay finite and stable
     fix = _load_fixture()["max_ratio_by_depth"]
     maxima = {}
     for depth in (3, 4, 5):
         grid = GridSpec((1,), (depth,))
-        _, max_ratio = empirical_paraproduct_bound(SPEC1, grid, range(10))
+        _, max_ratio = record_fixtures.empirical_paraproduct_bound(SPEC1, grid, range(10))
         assert np.isfinite(max_ratio)
         assert max_ratio == pytest.approx(fix[str(depth)], abs=1e-8)
         maxima[depth] = max_ratio

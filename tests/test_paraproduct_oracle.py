@@ -23,6 +23,7 @@ from dyadlab.grid import (
 )
 from dyadlab.haar import haar_cell_value, haar_coefficient, random_haar_function
 from dyadlab.paraproduct import ParaproductSpec, apply_paraproduct, random_signs
+from dyadlab.scalar import sqrt2_pow
 from dyadlab.shift import ShiftMap
 from dyadlab.stepfn import StepFunction
 
@@ -47,7 +48,7 @@ def cell_space_paraproduct(spec, f1, f2) -> StepFunction:
         c2 = haar_coefficient(f2, rect, spec.eps2)
         if c2.is_zero:
             continue
-        w = c1 * c2 * rect.inv_sqrt_volume()
+        w = c1 * c2 * sqrt2_pow(sum(c.level * c.d for c in rect.factors))
         if spec.signs is not None and spec.signs(rect) < 0:
             w = -w
         for cell in rect.cell_keys(grid.depth):
@@ -118,7 +119,7 @@ def test_finest_level_averages_give_the_pointwise_product():
     b, f = _inputs(grid, 3)
     plus = apply_paraproduct(ParaproductSpec(ones, ones, ones), b, f)
     def coarse(r):
-        return -1 if r.levels[0] < 3 else 1
+        return -1 if r.factors[0].level < 3 else 1
 
     flipped = apply_paraproduct(ParaproductSpec(ones, ones, ones, coarse), b, f)
     assert plus + flipped == b * f * 2

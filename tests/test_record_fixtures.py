@@ -6,7 +6,6 @@ are compared at 1e-12 relative, not byte for byte: the Riesz residuals are
 float sums whose last digit depends on the BLAS build.
 """
 
-import importlib.util
 import json
 import math
 from pathlib import Path
@@ -15,15 +14,6 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = ROOT / "tests" / "fixtures"
-
-
-def load_script():
-    spec = importlib.util.spec_from_file_location(
-        "record_fixtures", ROOT / "scripts" / "record_fixtures.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def assert_close(got, want, where="$"):
@@ -50,9 +40,10 @@ def assert_close(got, want, where="$"):
         ("riesz_fixture", "riesz_residual.json"),
     ],
 )
-def test_record_fixtures_reproduces_committed_files(tmp_path, fixture, name):
-    script = load_script()
-    script.OUT = tmp_path
-    getattr(script, fixture)()
+def test_record_fixtures_reproduces_committed_files(
+    tmp_path, record_fixtures, fixture, name
+):
+    record_fixtures.OUT = tmp_path
+    getattr(record_fixtures, fixture)()
     got = json.loads((tmp_path / name).read_text())
     assert_close(got, json.loads((FIXTURES / name).read_text()))

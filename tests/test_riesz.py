@@ -141,7 +141,7 @@ def test_draw_samples_reproducible():
     a = draw_grid_samples(1, 16, 10, seed=4)
     b = draw_grid_samples(1, 16, 10, seed=4)
     assert a == b
-    assert all(1.0 <= s.t_value <= 2.0 for s in a)
+    assert all(1.0 <= s.t_num / 2**s.t_log2den <= 2.0 for s in a)
 
 
 def test_scaled_grids_align_with_lattice():

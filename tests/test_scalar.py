@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dyadlab.scalar import ONE, SQRT2, ZERO, Scalar, from_fraction, sqrt2_pow
+from dyadlab.scalar import ONE, SQRT2, ZERO, Scalar, sqrt2_pow
 
 
 def scalars():
@@ -99,13 +99,6 @@ def test_division_by_units():
         Scalar(1) / Scalar(1, 1)
     with pytest.raises(ZeroDivisionError):
         Scalar(1) / ZERO
-
-
-def test_from_fraction():
-    assert from_fraction(Fraction(3, 8)) == Scalar(3, 0, 3)
-    assert from_fraction(Fraction(1, 2), Fraction(-5, 4)) == Scalar(2, -5, 2)
-    with pytest.raises(ValueError):
-        from_fraction(Fraction(1, 3))
 
 
 def test_immutability():

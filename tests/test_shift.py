@@ -133,7 +133,7 @@ def test_contraction_with_kill():
 
 def test_tensor_identity_slots():
     grid = GridSpec((1, 1), (2, 2))
-    ts = TensorShift.identity(2)
+    ts = TensorShift((None,) * 2)
     rng = np.random.default_rng(4)
     f = random_haar_function(grid, rng, include_mean=True)
     assert tensor_apply_counting(ts, f)[0] == f
@@ -165,7 +165,7 @@ def test_matrix_identity_and_sparsity():
     grid = GridSpec((1,), (2,))
     size = grid.cell_count
     ident = matrix_in_haar_basis(
-        lambda f: tensor_apply_counting(TensorShift.identity(1), f)[0], grid
+        lambda f: tensor_apply_counting(TensorShift((None,)), f)[0], grid
     )
     assert all(
         ident[i][j] == (Scalar(1) if i == j else ZERO)
@@ -187,7 +187,7 @@ def test_matrix_cap():
     grid = GridSpec((1,), (3,))
     with pytest.raises(CapExceededError):
         matrix_in_haar_basis(
-            lambda f: tensor_apply_counting(TensorShift.identity(1), f)[0], grid, cap=4
+            lambda f: tensor_apply_counting(TensorShift((None,)), f)[0], grid, cap=4
         )
 
 

@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from dyadlab.grid import GridSpec
 from dyadlab.scalar import Scalar
@@ -28,9 +27,6 @@ def test_norms_and_integral():
     f = StepFunction(g, {((0,),): Scalar(3), ((1,),): Scalar(-1)})
     assert f.integral() == Scalar(1)  # (3 - 1)/2
     assert f.l2_norm_sq() == Scalar(5)  # (9 + 1)/2
-    assert f.lp_norm(1) == pytest.approx(2.0)
-    assert f.lp_norm(2) == pytest.approx(np.sqrt(5.0))
-    assert f.lp_norm(float("inf")) == pytest.approx(3.0)
 
 
 def test_to_array_order():
