@@ -10,13 +10,16 @@ and BMO-admissible when additionally the first slot is strict everywhere.
 
 The product BMO norm is a Carleson supremum over unions of finest cells.
 Three estimators are provided: a supremum over single rectangles, a
-greedy union grower seeded at the best rectangle, and an exact brute
-force over every nonempty cell subset (capped at 20 cells).  All three
-read one Carleson table per call, the finest cells as bit positions and
-one ``(cell mask, strict mass)`` entry per rectangle, and compare ratios
-with one exact test; the brute force and the mode-monotonicity
-comparisons are exact.  The seeded boundedness probe built on these,
-which records ``tests/fixtures/paraproduct_ratio.json``, lives in
+greedy union grower seeded at the best rectangle (which provably never
+grows it, so it returns the same answer), and an exact brute force over
+every nonempty cell subset (capped at 20 cells).  All of them put the
+strict rectangle masses over one power-of-two denominator as integer
+pairs.  The rectangle supremum sums the masses inside every rectangle in
+one sweep of the rectangle lattice; the brute force sums over the subset
+lattice.  Both pick the best ratio exactly, after a float filter with a
+proven window where the integers fit int64.  The seeded boundedness
+probe built on these, which records
+``tests/fixtures/paraproduct_ratio.json``, lives in
 ``scripts/record_fixtures.py``.
 """
 
@@ -186,77 +189,41 @@ def _ratio_gt(mass_a: Scalar, count_a: int, mass_b: Scalar, count_b: int) -> boo
     return mass_a * count_b > mass_b * count_a
 
 
-def _mass_of(entries, mask: int) -> Scalar:
-    """Exact mass of the table rectangles whose cells all lie in ``mask``."""
-    total = ZERO
-    for rmask, m in entries:
-        if rmask & mask == rmask:
-            total = total + m
-    return total
-
-
-def _rectangle_sup(grid: GridSpec, mask_of, entries):
-    """Best single rectangle; the first of equal ratios in enumeration order."""
-    best = None
-    for region in enumerate_rectangles(grid):
-        mask = mask_of(region)
-        mass = _mass_of(entries, mask)
-        count = mask.bit_count()
-        if best is None or _ratio_gt(mass, count, best[0], best[1]):
-            best = (mass, count, mask)
-    return best
-
-
-def _greedy_union(grid: GridSpec, mask_of, entries):
-    """Grow the best rectangle by the heaviest cell while the ratio improves."""
-    mass, count, mask = _rectangle_sup(grid, mask_of, entries)
-    while True:
-        best_step = None
-        for i in range(grid.cell_count):
-            bit = 1 << i
-            if mask & bit:
-                continue
-            m = _mass_of(entries, mask | bit)
-            if best_step is None or m > best_step[0]:
-                best_step = (m, bit)
-        if best_step is None or not _ratio_gt(best_step[0], count + 1, mass, count):
-            return mass, count, mask
-        mass, bit = best_step
-        mask |= bit
-        count += 1
-
-
 _INT64_BOUND = 1 << 62
 
 
-def _exact_bruteforce(ncells: int, entries):
-    """Best ratio over every nonempty cell subset, by one zeta transform.
+def _integer_masses(masses: dict):
+    """The table's masses over their common denominator ``2**e``.
 
-    Masses are put over their common denominator ``2**e`` as integer pairs
-    ``(a, b)``.  The arrays are int64 when the absolute sums stay below
-    2**62, else numpy object arrays of Python integers summed by
-    :func:`_zeta_sos_loop`.  On int64 a float pass keeps every subset whose
-    float ratio lies within a proven rounding bound of the float maximum, so
-    no subset that can be the exact best is dropped; on big integers every
-    subset stays.  One exact selection then picks the best ratio, then fewer
-    cells, then the lower mask.
+    Returns ``e``, the triples ``(rect, a, b)`` with mass ``(a + b*sqrt2) /
+    2**e``, the sums ``A, B`` of ``|a|`` and ``|b|``, and the array dtype:
+    int64 when ``A`` and ``B`` stay below 2**62, so that no sum of table
+    masses can leave int64, and otherwise ``object`` for Python integers.
     """
-    e = max(m.e for _, m in entries)
-    scaled = [(mask, m.m << (e - m.e), m.n << (e - m.e)) for mask, m in entries]
-    abs_a, abs_b = (sum(abs(x[k]) for x in scaled) for k in (1, 2))
+    e = max(m.e for m in masses.values())
+    triples = [(rect, m.m << (e - m.e), m.n << (e - m.e)) for rect, m in masses.items()]
+    abs_a = sum(abs(a) for _, a, _ in triples)
+    abs_b = sum(abs(b) for _, _, b in triples)
     fits = abs_a < _INT64_BOUND and abs_b < _INT64_BOUND
-    n_subsets = 1 << ncells
-    a = np.zeros(n_subsets, dtype=np.int64 if fits else object)
-    bvec = np.zeros_like(a)
-    for mask, am, bm in scaled:
-        a[mask] += am
-        bvec[mask] += bm
-    pc = popcounts(n_subsets)
-    if fits:
-        zeta_sos(a, bvec, ncells)
-        vals = (a.astype(np.float64) + bvec.astype(np.float64) * _SQRT2_FLOAT) / np.maximum(pc, 1)
-        vals[0] = -np.inf
-        # With u = 2**-53 and |d_i| <= u, the float ratio of subset S is
+    return e, triples, abs_a, abs_b, np.int64 if fits else object
+
+
+def _exact_max(a, b, count, e, abs_a, abs_b) -> list:
+    """Every index ``u`` of the exact maximum of ``(a[u] + b[u]*sqrt2) /
+    (count[u] * 2**e)``, ascending; callers break ties.
+
+    Each ``a[u]``, ``b[u]`` must be a sum of distinct table masses, so
+    ``|a[u]| <= abs_a`` and ``|b[u]| <= abs_b``; counts are positive.  On
+    int64 a float pass keeps every index whose float ratio lies within a
+    proven rounding bound of the float maximum, so no index that can be
+    the exact best is dropped; on object arrays every index stays.  The
+    exact comparison then runs on the kept indices only.
+    """
+    if a.dtype == object:
+        candidates = range(len(a))
+    else:
+        vals = (a.astype(np.float64) + b.astype(np.float64) * _SQRT2_FLOAT) / count
+        # With u = 2**-53 and |d_i| <= u, the float ratio at index S is
         # (a(1+d1) + b*sqrt2(1+d2)(1+d3)(1+d4))(1+d5)/p * (1+d6): a, b,
         # sqrt2, the product, the sum and the quotient each round once.  So
         # it is within (3|a| + 5|b|sqrt2) u/p + O(u**2) <= 5.1 (|a| +
@@ -264,22 +231,116 @@ def _exact_bruteforce(ncells: int, entries):
         # p >= 1 bound that by E = 5.1 (abs_a + abs_b*sqrt2) u for every S.
         # The exact best is then within 2E of the float maximum.  The window
         # takes 16 for 2 * 5.1; the rest covers its own roundings.  (A bound
-        # per subset costs seven times this filter's time on 2**16 subsets.)
+        # per index costs seven times this filter's time on 2**16 subsets.)
         window = 16 * 2.0**-53 * (abs_a + abs_b * _SQRT2_FLOAT)
         candidates = np.nonzero(vals >= vals.max() - window)[0]
-    else:
-        _zeta_sos_loop(a, bvec, ncells)
-        candidates = range(1, n_subsets)
-    best = None
+    best, ties = None, []
     for u in candidates:
         u = int(u)
-        cand = (Scalar(int(a[u]), int(bvec[u]), e), int(pc[u]), u)
-        if best is None or (
-            not _ratio_gt(*best[:2], *cand[:2])
-            and (_ratio_gt(*cand[:2], *best[:2]) or cand[1:] < best[1:])
-        ):
-            best = cand
-    return best
+        cand = (Scalar(int(a[u]), int(b[u]), e), int(count[u]))
+        if best is not None and _ratio_gt(*best, *cand):
+            continue
+        if best is None or _ratio_gt(*cand, *best):
+            best, ties = cand, [u]
+        else:
+            ties.append(u)
+    return ties
+
+
+# -- the rectangle lattice ------------------------------------------------------
+#
+# The rectangles of a grid are an array of shape (n_1, ..., n_t): axis s
+# lists the cubes of parameter s in ``grid.cubes(s)`` order (by level, then
+# by position in lexicographic order), so the flat order is
+# ``enumerate_rectangles`` order.
+
+
+def _level_start(d: int, k: int) -> int:
+    """Index of the first level-``k`` cube of dimension ``d`` in cube order."""
+    return ((1 << (k * d)) - 1) // ((1 << d) - 1)
+
+
+def _cube_index(cube: DyadicCube) -> int:
+    """Index of ``cube`` in cube order."""
+    i = 0
+    for p in cube.pos:
+        i = (i << cube.level) | p
+    return _level_start(cube.d, cube.level) + i
+
+
+def _fold(arr: np.ndarray, grid: GridSpec) -> None:
+    """In place: every rectangle's entry becomes the sum of the entries of
+    the rectangles inside it, the tree version of :func:`zeta_sos`.
+
+    Containment separates over parameters, so one pass per parameter folds
+    children into parents from the finest level up.  A level's cubes are
+    in lexicographic position order, so splitting each axis into (parent
+    position, child bit) lines the children up under their parents.
+    """
+    for s, (d, depth) in enumerate(zip(grid.dims, grid.depth)):
+        view = np.moveaxis(arr, s, 0)
+        rest = view.shape[1:]
+        for k in range(depth, 0, -1):
+            lo = _level_start(d, k)
+            parents = view[_level_start(d, k - 1):lo]
+            children = view[lo:_level_start(d, k + 1)].reshape((1 << (k - 1), 2) * d + rest)
+            parents += children.sum(axis=tuple(range(1, 2 * d, 2))).reshape(parents.shape)
+
+
+def _rectangle_sup(grid: GridSpec, e, triples, abs_a, abs_b, dtype):
+    """Best single rectangle; the first of equal ratios in enumeration order.
+
+    Each rectangle's own mass goes to its lattice entry, one fold sums the
+    masses inside every rectangle, and :func:`_exact_max` picks the best
+    ratio.  A rectangle's cell count is a power of two, so dividing by it
+    in floats is exact.
+    """
+    shape, logs = [], 0
+    for d, depth in zip(grid.dims, grid.depth):
+        shape.append(_level_start(d, depth + 1))
+        per_cube = [(depth - k) * d for k in range(depth + 1)]
+        logs = np.add.outer(logs, np.repeat(per_cube, [1 << (k * d) for k in range(depth + 1)]))
+    counts = np.left_shift(1, logs, dtype=np.int64).ravel()
+    a = np.zeros(shape, dtype=dtype)
+    b = np.zeros_like(a)
+    where = tuple(zip(*(tuple(_cube_index(c) for c in rect.factors) for rect, _, _ in triples)))
+    a[where] = [am for _, am, _ in triples]
+    b[where] = [bm for _, _, bm in triples]
+    _fold(a, grid)
+    _fold(b, grid)
+    u = _exact_max(a.ravel(), b.ravel(), counts, e, abs_a, abs_b)[0]
+    witness = frozenset(enumerate_rectangles(grid)[u].cell_keys(grid.depth))
+    return Scalar(int(a.flat[u]), int(b.flat[u]), e), int(counts[u]), witness
+
+
+def _exact_bruteforce(grid: GridSpec, e, triples, abs_a, abs_b, dtype):
+    """Best ratio over every nonempty cell subset, by one zeta transform.
+
+    Subset masses are summed over the subset lattice as integer pairs, on
+    int64 by :func:`zeta_sos` and on Python integers by
+    :func:`_zeta_sos_loop`.  :func:`_exact_max` then picks the best ratio,
+    and ties go to fewer cells, then the lower mask.
+    """
+    cells = list(grid.cells())
+    index = {c: i for i, c in enumerate(cells)}
+    n_subsets = 1 << len(cells)
+    a = np.zeros(n_subsets, dtype=dtype)
+    bvec = np.zeros_like(a)
+    for rect, am, bm in triples:
+        mask = 0
+        for cell in rect.cell_keys(grid.depth):
+            mask |= 1 << index[cell]
+        a[mask] += am
+        bvec[mask] += bm
+    pc = popcounts(n_subsets)
+    if dtype is object:
+        _zeta_sos_loop(a, bvec, len(cells))
+    else:
+        zeta_sos(a, bvec, len(cells))
+    ties = _exact_max(a[1:], bvec[1:], pc[1:], e, abs_a, abs_b)
+    u = 1 + min(ties, key=lambda i: pc[i + 1])
+    witness = frozenset(c for i, c in enumerate(cells) if u >> i & 1)
+    return Scalar(int(a[u]), int(bvec[u]), e), int(pc[u]), witness
 
 
 # largest grid, in finest cells, that ``exact-bruteforce`` accepts
@@ -291,10 +352,24 @@ def bmo_norm(b: StepFunction, mode: str = "greedy-union") -> BmoEstimate:
 
     The supremum ranges over unions of finest cells (the open sets of the
     discrete model).  ``rectangle-sup`` restricts to single rectangles;
-    ``greedy-union`` grows the best rectangle one cell at a time while the
-    Carleson ratio improves, so it always dominates ``rectangle-sup``;
-    ``exact-bruteforce`` enumerates all nonempty subsets and dominates
-    both (grids with more than ``EXACT_CAP_BITS`` cells are rejected).
+    ``exact-bruteforce`` enumerates all nonempty subsets and dominates it
+    (grids with more than ``EXACT_CAP_BITS`` cells are rejected).
+    ``greedy-union`` would grow the best rectangle ``W`` one cell at a time
+    while the Carleson ratio strictly improves, but no such step exists,
+    so it returns ``rectangle-sup``'s answer.  Every rectangle with strict
+    mass has at least two cells along each parameter, since a strict Haar
+    function needs a cube it can split, and so does ``W``, which holds one
+    of them.  A rectangle ``R`` with strict mass that is not inside ``W``
+    either misses ``W`` or, in some parameter, has a factor that strictly
+    contains ``W``'s and so has at least four cells; then at most half of
+    ``R`` lies in ``W``.  Either way at least two cells of ``R`` lie
+    outside ``W``, so one more cell completes no rectangle with strict
+    mass: the union's mass stays ``W``'s while its cell count grows.
+
+    With one parameter ``rectangle-sup`` is moreover the exact supremum.
+    The maximal dyadic cubes inside a union of cells are disjoint, and
+    every dyadic cube inside the union lies in one of them, so the union's
+    ratio is an average of theirs, weighted by cell count.
     """
     if mode not in BMO_MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -302,26 +377,14 @@ def bmo_norm(b: StepFunction, mode: str = "greedy-union") -> BmoEstimate:
     masses = analyze(b).strict_masses()
     if not masses:
         return BmoEstimate(mode, 0.0, frozenset(), ZERO, 0)
-    cells = list(grid.cells())
-    if mode == "exact-bruteforce" and len(cells) > EXACT_CAP_BITS:
+    if mode == "exact-bruteforce" and grid.cell_count > EXACT_CAP_BITS:
         raise CapExceededError(
-            f"{len(cells)} cells exceed the exact-mode cap of {EXACT_CAP_BITS}"
+            f"{grid.cell_count} cells exceed the exact-mode cap of {EXACT_CAP_BITS}"
         )
-    index = {c: i for i, c in enumerate(cells)}
-
-    def mask_of(rect: DyadicRectangle) -> int:
-        mask = 0
-        for cell in rect.cell_keys(grid.depth):
-            mask |= 1 << index[cell]
-        return mask
-
-    entries = [(mask_of(rect), m) for rect, m in masses.items()]
-    if mode == "rectangle-sup":
-        mass, count, mask = _rectangle_sup(grid, mask_of, entries)
-    elif mode == "greedy-union":
-        mass, count, mask = _greedy_union(grid, mask_of, entries)
+    table = _integer_masses(masses)
+    if mode == "exact-bruteforce":
+        mass, count, witness = _exact_bruteforce(grid, *table)
     else:
-        mass, count, mask = _exact_bruteforce(len(cells), entries)
-    witness = frozenset(c for i, c in enumerate(cells) if mask >> i & 1)
+        mass, count, witness = _rectangle_sup(grid, *table)
     value = float(np.sqrt(float(mass) / (count * float(grid.cell_volume))))
     return BmoEstimate(mode, value, witness, mass, count)

@@ -2,21 +2,26 @@
 
 The reference below is the estimator code that read the rectangle masses
 through ``DyadicRectangle.contains`` and compared exact-mode candidates as
-integer tuples.  ``bmo_norm``, which reads one Carleson table of cell
-bitmasks, must return the same ``BmoEstimate`` in every field, witness and
-exact mass included, on grids with at most two parameters, dimensions up
-to 2 and at most 64 cells.  Exact mode runs up to 16 cells; on larger
-grids both sides must raise the same cap error.  Symbols cover the
-int64 and the big-integer zeta transform, ``sqrt(2)`` masses, a single
-Haar function, a constant, and values ``u * (3 - 2*sqrt(2))**k`` whose
-masses cancel in floats.
+integer tuples.  ``bmo_norm``, which sums the masses inside every
+rectangle in one sweep of the rectangle lattice, must return the same
+``BmoEstimate`` in every field, witness and exact mass included: on drawn
+grids with at most two parameters, dimensions up to 2 and at most 64
+cells, and on seeded grids up to the benchmark's 128 cells and three
+parameters.  Exact mode runs up to 16 cells; on larger grids both sides
+must raise the same cap error.  Symbols cover the int64 and the
+big-integer paths, ``sqrt(2)`` masses, a single Haar function, a
+constant, and values ``u * (3 - 2*sqrt(2))**k`` whose masses cancel in
+floats.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dyadlab import paraproduct
 from dyadlab._kernels import _zeta_sos_loop, popcounts, zeta_sos
 from dyadlab.errors import CapExceededError
 from dyadlab.grid import (
@@ -289,6 +294,17 @@ def test_bmo_norm_matches_reference_seeded(dims, depth):
         check_all_modes(grid, kind, 0)
 
 
+# The norms benchmark's d = 1 grids up to 128 cells, and 16-cell grids with
+# t = 2 and t = 3, where the reference greedy loop scans every cell.
+@pytest.mark.parametrize(
+    "dims, depth",
+    [((1,), (5,)), ((1,), (6,)), ((1,), (7,)), ((2, 1), (1, 2)), ((1, 1, 1), (1, 1, 2))],
+)
+@pytest.mark.parametrize("kind", ["random", "root2", "big"])
+def test_bmo_norm_matches_reference_on_larger_grids(dims, depth, kind):
+    check_all_modes(GridSpec(dims, depth), kind, 0)
+
+
 def test_bmo_norm_matches_reference_on_a_cancelling_symbol():
     # x on one cell and -x on the other, x = (99 - 70*sqrt2)**3: the float
     # masses cancel, and a float window would drop the 2-cell maximum
@@ -307,3 +323,54 @@ def test_bmo_norm_matches_reference_on_a_cancelling_symbol():
 @given(grids(budget=3), st.integers(0, 2**16))
 def test_bmo_norm_matches_reference_on_unit_powers(grid, seed):
     check_all_modes(grid, "unit", seed)
+
+
+# Python integers everywhere: with the int64 bound at 0 the lattice sweep
+# and the exact selection run on object arrays, where no float filter
+# drops a candidate.
+@pytest.mark.parametrize(
+    "dims, depth", [((1,), (3,)), ((1,), (5,)), ((2,), (2,)), ((1, 1), (2, 2)), ((2, 1), (1, 1))]
+)
+@pytest.mark.parametrize("kind", ["random", "unit", "big"])
+def test_bmo_big_integer_path_matches_int64(dims, depth, kind):
+    grid = GridSpec(dims, depth)
+    for seed in range(3):
+        b = symbol(grid, kind, seed)
+        want = [bmo_norm(b, mode) for mode in ("rectangle-sup", "greedy-union")]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(paraproduct, "_INT64_BOUND", 0)
+            got = [bmo_norm(b, mode) for mode in ("rectangle-sup", "greedy-union")]
+        assert got == want, (grid, kind, seed)
+
+
+# With one parameter no union of cells beats its best dyadic cube, and on
+# any grid no single cell added to the best rectangle completes another
+# rectangle with strict mass: greedy-union returns rectangle-sup's answer.
+@pytest.mark.parametrize(
+    "dims, depth",
+    [((1,), (0,)), ((1,), (1,)), ((1,), (2,)), ((1,), (3,)), ((1,), (4,)),
+     ((2,), (1,)), ((2,), (2,)), ((3,), (1,))],
+)
+@pytest.mark.parametrize("kind", ["random", "unit"])
+def test_one_parameter_unions_never_beat_the_best_rectangle(dims, depth, kind):
+    grid = GridSpec(dims, depth)
+    # unit masses cancel, so exact mode compares all 2**16 subsets of a
+    # 16-cell grid exactly: ~1.5 s a symbol
+    for seed in range(1 if kind == "unit" and grid.cell_count > 8 else 6):
+        b = symbol(grid, kind, seed)
+        rect, greedy, exact = (bmo_norm(b, mode) for mode in BMO_MODES)
+        assert exact.sq_leq(rect) and rect.sq_leq(exact), (grid, kind, seed)
+        assert dataclasses.replace(greedy, mode=rect.mode) == rect, (grid, kind, seed)
+
+
+@pytest.mark.parametrize(
+    "dims, depth", [((1, 1), (2, 2)), ((1, 1), (3, 2)), ((2, 1), (1, 2)), ((1, 1, 1), (1, 1, 2))]
+)
+@pytest.mark.parametrize("kind", ["random", "unit", "haar"])
+def test_greedy_union_never_grows_the_best_rectangle(dims, depth, kind):
+    grid = GridSpec(dims, depth)
+    for seed in range(4):
+        b = symbol(grid, kind, seed)
+        rect, greedy = (bmo_norm(b, mode) for mode in ("rectangle-sup", "greedy-union"))
+        assert dataclasses.replace(greedy, mode=rect.mode) == rect, (grid, kind, seed)
+        assert dataclasses.replace(reference_bmo_norm(b, "greedy-union"), mode=rect.mode) == rect
