@@ -28,8 +28,8 @@ from . import commutator as comm
 from . import paraproduct as para
 from . import riesz as rz
 from .errors import CapExceededError
-from .grid import DyadicCube, DyadicRectangle, GridSpec, is_strict, strict_signatures
-from .haar import BASIS_CAP, haar_function, random_haar_function
+from .grid import DyadicCube, DyadicRectangle, GridSpec, strict_signatures
+from .haar import BASIS_CAP, _validate_key, haar_function, random_haar_function
 from .shift import CUBE_PRESETS, SIG_PRESETS, ShiftMap, TensorShift
 from .stepfn import StepFunction
 
@@ -117,25 +117,31 @@ _HORIZON = (
 )
 
 
+def _symbol_key(symbol, grid: GridSpec):
+    """The basis key ``(rect, vecsig)`` of a dict symbol on ``grid``, or of
+    ``single-haar`` (:func:`~dyadlab.commutator.single_haar_symbol`); the
+    cube constructor checks each factor."""
+    if symbol == "single-haar":
+        return grid.unit_rectangle(), tuple((0,) * d for d in grid.dims)
+    factors = tuple(
+        DyadicCube(d, level, tuple(pos))
+        for d, level, pos in zip(grid.dims, symbol["rect_levels"], symbol["rect_pos"])
+    )
+    return DyadicRectangle(factors), tuple(tuple(sig) for sig in symbol["sigs"])
+
+
 def _fits(grids):
-    """The symbol resolves on every grid ``grids(c)`` of the run: each Haar
-    factor has its parameter's dimension and lies in the unit cube, strict
-    factors strictly above the finest level and the others at most on it."""
+    """The symbol resolves on every grid ``grids(c)`` of the run: its key
+    passes the library's checks on each."""
 
     def fits(symbol, c) -> bool:
+        if symbol != "single-haar" and not isinstance(symbol, dict):
+            return True
         for grid in grids(c):
-            if symbol == "single-haar" and 0 in grid.depth:
+            try:
+                _validate_key(grid, *_symbol_key(symbol, grid))
+            except ValueError:
                 return False
-            if isinstance(symbol, dict):
-                parts = zip(grid.dims, grid.depth, symbol["rect_levels"],
-                            symbol["rect_pos"], symbol["sigs"])
-                if grid.t != len(symbol["sigs"]) or not all(
-                    len(pos) == len(sig) == d
-                    and 0 <= level <= (n - 1 if is_strict(sig) else n)
-                    and all(0 <= p < 1 << level for p in pos)
-                    for d, n, level, pos, sig in parts
-                ):
-                    return False
         return True
 
     return (fits, "be resolvable on every grid of the run")
@@ -315,11 +321,7 @@ def cmd_verify_cases(plan: dict, out) -> int:
     # headroom for second shifts of the deepest pairs
     grid = GridSpec((d,), (plan["depth"] + 3,))
     sigs = strict_signatures(d)
-    cubes = [
-        DyadicCube(d, k, pos)
-        for k in range(plan["depth"] + 1)
-        for pos in itertools.product(range(1 << k), repeat=d)
-    ]
+    cubes = list(grid.cubes(0, plan["depth"]))
     rows = []
     pairs = 0
     for cube_rule, sig_rule in itertools.product(plan["cube_rules"], plan["sig_rules"]):
@@ -389,12 +391,7 @@ def cmd_verify_decomposition(plan: dict, out) -> int:
 
 def _symbol_from_config(symbol, grid: GridSpec, rng) -> StepFunction:
     if isinstance(symbol, dict):
-        factors = tuple(
-            DyadicCube(d, level, tuple(pos))
-            for d, level, pos in zip(grid.dims, symbol["rect_levels"], symbol["rect_pos"])
-        )
-        vecsig = tuple(tuple(sig) for sig in symbol["sigs"])
-        return haar_function(grid, DyadicRectangle(factors), vecsig)
+        return haar_function(grid, *_symbol_key(symbol, grid))
     if symbol == "constant":
         return StepFunction.constant(grid, 1)
     if symbol == "single-haar":

@@ -33,8 +33,16 @@ from .grid import (
     all_ones,
     sig_xnor,
     strict_signatures,
+    unit_cube,
 )
-from .haar import BASIS_CAP, haar_basis_keys, haar_function, random_haar_function
+from .haar import (
+    BASIS_CAP,
+    _basis_slots,
+    haar_basis_keys,
+    haar_function,
+    random_haar_function,
+    synthesize_patterns,
+)
 from .paraproduct import ParaproductSpec, apply_paraproduct, bmo_norm
 from .scalar import _SQRT2_FLOAT, ZERO, Scalar, sqrt2_pow
 from .shift import ShiftMap, TensorShift, shift_key, tensor_apply_counting
@@ -435,32 +443,36 @@ def _shift_index_map(q: TensorShift, grid: GridSpec) -> np.ndarray:
     return out
 
 
+def _pattern_rows(d: int, depth: int) -> np.ndarray:
+    """Row ``k`` of the int8 matrix is the +-1/0 sign pattern of the
+    ``k``-th slot of ``_basis_slots(d, depth)`` over the cells of the
+    one-parameter grid, synthesized by the Haar pyramid."""
+    grid = GridSpec((d,), (depth,))
+    index = {cell: i for i, cell in enumerate(grid.cells())}
+    slots = _basis_slots(d, depth)
+    rows = np.zeros((len(slots), grid.cell_count), dtype=np.int8)
+    for row, (cube, sig) in zip(rows, slots):
+        pattern = synthesize_patterns(grid, [(((cube.level, cube.pos, sig),), 1, 0)], 0)
+        row[[index[cell] for cell in pattern.values]] = [v.m for v in pattern.values.values()]
+    return rows
+
+
 @lru_cache(maxsize=4)
 def _sign_table(grid: GridSpec) -> tuple:
     """``(S, L)``: row ``i`` of the int8 matrix ``S`` is the +-1/0 sign
     pattern ``H_i`` of the ``i``-th key of :func:`haar_basis_keys` over the
     cells in :meth:`GridSpec.cells` order, and ``h_i = sqrt(2)**L_i * H_i``
-    with ``L_i = sum(level * d)``.  ``S`` permutes the rows of the Kronecker
-    product of the parameters' tables, one row per slot ``(cube, sig)``."""
-    slots = [{} for _ in grid.dims]  # per parameter: slot -> its table row
-    perm = []
-    for rect, vecsig in haar_basis_keys(grid):
-        row = 0
-        for table, slot, d, n in zip(slots, zip(rect.factors, vecsig), grid.dims, grid.depth):
-            row = (row << d * n) + table.setdefault(slot, len(table))
-        perm.append(row)
+    with ``L_i = sum(level * d)``.  ``S`` is the Kronecker product of the
+    parameters' :func:`_pattern_rows` with the mean's row moved first."""
     signs, levels = np.ones((1, 1), dtype=np.int8), np.zeros(1, dtype=np.int64)
-    for table, d, n in zip(slots, grid.dims, grid.depth):
-        cells = np.array(list(itertools.product(range(1 << n), repeat=d))).reshape(-1, d)
-        rows = []
-        for cube, sig in table:
-            shift = n - cube.level
-            rows.append(np.all(cells >> shift == cube.pos, axis=1).astype(np.int8))
-            for j in (j for j, bit in enumerate(sig) if not bit):
-                rows[-1][(cells[:, j] >> (shift - 1)) & 1 == 0] *= -1  # lower half on axis j
-        signs = np.kron(signs, rows)
-        levels = np.add.outer(levels, [cube.level * d for cube, _ in table]).ravel()
-    signs, levels = signs[perm], levels[perm]
+    mean = 0  # the mean key's row in the Kronecker product
+    for d, n in zip(grid.dims, grid.depth):
+        slots = _basis_slots(d, n)
+        signs = np.kron(signs, _pattern_rows(d, n))
+        levels = np.add.outer(levels, [cube.level * d for cube, _ in slots]).ravel()
+        mean = mean * len(slots) + slots.index((unit_cube(d), all_ones(d)))
+    order = np.r_[mean, :mean, mean + 1 : len(levels)]
+    signs, levels = signs[order], levels[order]
     signs.flags.writeable = levels.flags.writeable = False  # shared by the cache
     return signs, levels
 

@@ -105,13 +105,6 @@ class DyadicCube:
                 sign = -sign
         return sign
 
-    def contains_cell(self, cell: tuple[int, ...], depth: int) -> bool:
-        """Containment of a finest cell given by its level-``depth`` position."""
-        shift = depth - self.level
-        if shift < 0:
-            raise ValueError("cell is coarser than the cube")
-        return all((q >> shift) == p for p, q in zip(self.pos, cell))
-
     def cell_positions(self, depth: int):
         """Iterate level-``depth`` cell positions covering this cube."""
         shift = depth - self.level
@@ -150,11 +143,6 @@ class DyadicRectangle:
         if other.t != self.t:
             return False
         return all(a.contains(b) for a, b in zip(self.factors, other.factors))
-
-    def contains_cell(self, cell: tuple[tuple[int, ...], ...], depth: tuple[int, ...]) -> bool:
-        return all(
-            c.contains_cell(part, n) for c, part, n in zip(self.factors, cell, depth)
-        )
 
     def cell_keys(self, depth: tuple[int, ...]):
         """Iterate finest-cell keys covered by this rectangle."""

@@ -9,6 +9,9 @@ product of these; a coefficient key is ``(DyadicRectangle, vector
 signature)`` where a parameter sitting in its constant slot contributes
 the unit cube with the all-ones signature.  The one key that is constant
 in *every* parameter is :func:`mean_key`; its coefficient is the mean.
+Each parameter's slots are listed once, in ``(level, pos, sig)`` order,
+by ``_basis_slots``: the basis order, the slots of random functions and
+the commutator's sign patterns all read that table.
 
 Shift operators and the square function only look at the all-strict keys;
 paraproducts additionally consume renormalized averages, which are inner
@@ -126,21 +129,12 @@ def haar_coefficient(f: StepFunction, rect: DyadicRectangle, vecsig) -> Scalar:
     """
     grid = f.grid
     _validate_key(grid, rect, vecsig)
-    vol = grid.cell_volume_scalar()
-    rect_cells = 1
-    for cube, d, n in zip(rect.factors, grid.dims, grid.depth):
-        rect_cells <<= (n - cube.level) * d
     total = ZERO
-    if rect_cells <= len(f.values):
-        for cell in rect.cell_keys(grid.depth):
-            v = f.values.get(cell)
-            if v is not None:
-                total = total + v * haar_cell_value(grid, rect, vecsig, cell)
-    else:
-        for cell, v in f.values.items():
-            if rect.contains_cell(cell, grid.depth):
-                total = total + v * haar_cell_value(grid, rect, vecsig, cell)
-    return total * vol
+    for cell in rect.cell_keys(grid.depth):
+        v = f.values.get(cell)
+        if v is not None:
+            total = total + v * haar_cell_value(grid, rect, vecsig, cell)
+    return total * grid.cell_volume_scalar()
 
 
 # -- expansions ---------------------------------------------------------------
@@ -198,13 +192,6 @@ class HaarExpansion:
 
     def __repr__(self):
         return f"HaarExpansion(grid={self.grid!r}, nnz={len(self.coeffs)})"
-
-
-def _key_sort(key):
-    rect, vecsig = key
-    return tuple(
-        (cube.level, cube.pos, sig) for cube, sig in zip(rect.factors, vecsig)
-    )
 
 
 # -- the integer pyramid -------------------------------------------------------
@@ -479,30 +466,33 @@ def square_function_sq(f: StepFunction) -> StepFunction:
 # -- bases and random functions ----------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _basis_slots(d: int, depth: int) -> tuple:
+    """One parameter's basis slots ``(cube, sig)`` in ``(level, pos, sig)``
+    order: each strict signature on every cube below ``depth``, and the
+    constant slot ``(unit cube, all-ones)``, which sorts last among level 0.
+    A depth-0 parameter has the constant slot only."""
+    slots = [
+        (cube, sig)
+        for cube in GridSpec((d,), (depth,)).cubes(0, depth - 1)
+        for sig in strict_signatures(d)
+    ]
+    slots.insert(len(strict_signatures(d)) if depth else 0, (unit_cube(d), all_ones(d)))
+    return tuple(slots)
+
+
 @lru_cache(maxsize=16)
 def haar_basis_keys(grid: GridSpec) -> tuple:
-    """Ordered orthonormal basis keys: the mean key first, then all others.
-
-    Per parameter a slot is the unit cube with the all-ones signature or a
-    cube below the finest level with a strict signature; a key takes one
-    slot per parameter, and the all-constant key is the mean.
-    """
-    per_param = []
-    for s, d in enumerate(grid.dims):
-        slots = [(unit_cube(d), all_ones(d))]
-        slots.extend(
-            (cube, sig)
-            for cube in grid.cubes(s, grid.depth[s] - 1)
-            for sig in strict_signatures(d)
-        )
-        per_param.append(slots)
+    """Ordered orthonormal basis keys: the mean key first, then all others
+    in the product order of the parameters' :func:`_basis_slots`, which is
+    the order of the per-parameter ``(level, pos, sig)`` tuples."""
     mean = mean_key(grid)
-    keys = []
-    for combo in itertools.product(*per_param):
+    keys = [mean]
+    for combo in itertools.product(*map(_basis_slots, grid.dims, grid.depth)):
         key = (DyadicRectangle(tuple(c for c, _ in combo)), tuple(sig for _, sig in combo))
         if key != mean:
             keys.append(key)
-    return (mean,) + tuple(sorted(keys, key=_key_sort))
+    return tuple(keys)
 
 
 def basis_function(grid: GridSpec, key) -> StepFunction:
@@ -518,19 +508,14 @@ def random_haar_function(
 ) -> StepFunction:
     """Seeded random function with coefficients in {-8..8}/8 on the
     all-strict Haar slots with factor levels bounded by ``max_levels``,
-    one bound per parameter."""
+    one bound per parameter; keys are drawn in :func:`haar_basis_keys` order."""
     if max_levels is None:
         max_levels = tuple(n - 1 for n in grid.depth)
     per_param = []
-    for s in range(grid.t):
-        d = grid.dims[s]
-        top = min(max_levels[s], grid.depth[s] - 1)
-        slots = [
-            (cube, sig)
-            for cube in grid.cubes(s, top)
-            for sig in strict_signatures(d)
-        ]
-        per_param.append(slots)
+    for s, (d, n) in enumerate(zip(grid.dims, grid.depth)):
+        top = max_levels[s]  # a bound for every parameter, depth 0 included
+        slots = _basis_slots(d, n)
+        per_param.append([(c, sig) for c, sig in slots if is_strict(sig) and c.level <= top])
     coeffs = {}
     for combo in itertools.product(*per_param):
         k = int(rng.integers(-8, 9))

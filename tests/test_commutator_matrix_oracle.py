@@ -6,10 +6,11 @@ synthesize per shift) and its image is analyzed, then every exact entry
 is rounded.  ``commutator_matrix`` builds the same exact entries in
 coefficient space, from a sparse M_b and shift index maps, so the float
 matrices must be equal entry for entry and ``operator_norm`` must return
-the same ``OperatorNormResult`` for ``power`` and ``svd``.  Grids have at
-most two parameters, dimensions up to 2 and at most 64 cells; the shifts
-cover every cube rule, every signature rule and ``None`` slots.  Bad
-input must fail the way the reference fails.
+the same ``OperatorNormResult`` for ``power`` and ``svd``.  Grids have up
+to three parameters, dimensions up to 2 and at most 64 cells, so the
+Kronecker order of the sign patterns and the mean-first row are checked at
+every arity; the shifts cover every cube rule, every signature rule and
+``None`` slots.  Bad input must fail the way the reference fails.
 """
 
 import numpy as np
@@ -68,7 +69,7 @@ def sig_rules(d: int) -> list:
 
 @st.composite
 def grids(draw):
-    t = draw(st.integers(1, 2))
+    t = draw(st.integers(1, 3))
     dims, depth, budget = [], [], MAX_CELL_BITS
     for _ in range(t):
         d = draw(st.integers(1, 2))
@@ -141,6 +142,16 @@ def test_two_parameter_shifts_match_reference(parts):
     grid = GridSpec((1, 1), (2, 3))
     ts = TensorShift(tuple(None if p is None else ShiftMap(1, *p) for p in parts))
     check_same(symbol(grid, 5), ts, grid)
+
+
+def test_three_parameter_shifts_match_reference():
+    # depth 2 everywhere, so every shift keeps some keys and M_b matters
+    grid = GridSpec((1, 1, 1), (2, 2, 2))
+    rules = [("rotating", "identity"), ("first-child", "cyclic"), (("child", 1), "identity")]
+    ts = TensorShift(tuple(ShiftMap(1, *rule) for rule in rules))
+    b = symbol(grid, 7)
+    assert commutator_matrix(b, ts, grid).any()
+    check_same(b, ts, grid)
 
 
 # -- failing closed ------------------------------------------------------------------

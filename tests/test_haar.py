@@ -220,3 +220,11 @@ def test_haar_is_rescaled_mother_on_every_interval():
                 mother = -ONE if rescaled < 4 else ONE
                 expected = SQRT2 ** k * mother
                 assert haar_cell_value(g, rect, ((0,),), cell) == expected, (k, p, cell)
+
+
+@pytest.mark.parametrize("depth", [(2, 2), (2, 0)], ids=["depth-2", "depth-0"])
+def test_random_function_needs_a_level_bound_per_parameter(depth):
+    # a short bound tuple fails, also where the unbounded parameter has no
+    # strict slot to draw
+    with pytest.raises(IndexError):
+        random_haar_function(GridSpec((1, 1), depth), np.random.default_rng(0), max_levels=(1,))

@@ -24,7 +24,6 @@ from dyadlab.grid import (
 )
 from dyadlab.haar import (
     HaarExpansion,
-    _key_sort,
     analyze,
     haar_basis_keys,
     haar_cell_value,
@@ -201,6 +200,15 @@ def test_haar_sign_is_the_sign_on_every_cell_of_the_subcube(case):
 # -- haar_basis_keys against the per-cell combo-table enumeration ---------------
 
 
+def _key_sort(key):
+    """The reference basis order: per parameter ``(level, pos, sig)``,
+    compared parameter by parameter."""
+    rect, vecsig = key
+    return tuple(
+        (cube.level, cube.pos, sig) for cube, sig in zip(rect.factors, vecsig)
+    )
+
+
 def combo_table_keys(grid: GridSpec) -> tuple:
     """Every non-constant key meeting some cell, gathered cell by cell as
     the per-cell combo table did, then sorted; the mean key first."""
@@ -237,6 +245,7 @@ def combo_table_keys(grid: GridSpec) -> tuple:
         ((1, 1), (3, 3)),
         ((2, 1), (2, 2)),
         ((1, 1, 1), (1, 2, 1)),
+        ((1, 2, 1), (2, 1, 0)),
     ],
 )
 def test_basis_keys_match_combo_table(dims, depth):
