@@ -113,46 +113,47 @@ def draw_grid_samples(d: int, n: int, count: int, seed: int) -> list[RandomGridS
     return out
 
 
-def _sample_cubes(sample: RandomGridSample):
-    """Lattice cubes (start vector, side) of the sampled grid, by level.
+def _level_starts(sample: RandomGridSample):
+    """Per level of the sampled grid: the cube side and, per axis, the
+    lattice starts of its full intervals.
 
-    Cube sides are ``t * 2**-k * n`` lattice units; a cube participates in
+    Cube sides are ``t * 2**-k * n`` lattice units; a level participates in
     the shift when its side is divisible by 4 (the child's Haar profile
-    must still halve).  Only full intervals are kept per level.
+    must still halve).  The level's cubes are the product of the per-axis
+    starts, axis 0 slowest.
     """
-    d, n = sample.d, sample.n
+    n = sample.n
     logn = n.bit_length() - 1
     p, m = sample.t_num, sample.t_log2den
-    base = tuple((p * y) % n for y in sample.y_num)
-    cubes = []
     for k in range(logn - m + 1):
         side = p << (logn - m - k)
         if side == 0 or side % 4 != 0 or side > n:
             continue
-        for idx in itertools.product(range(n // side), repeat=d):
-            start = tuple((base[a] + idx[a] * side) % n for a in range(d))
-            cubes.append((start, side))
-    return cubes
+        steps = np.arange(n // side) * side
+        yield side, [(p * y + steps) % n for y in sample.y_num]
 
 
-def _haar_vector(d: int, n: int, start, side, sig) -> np.ndarray:
-    """Lattice Haar function: tensor of per-axis profiles, L2-normalized
-    against the (1/n**d) counting measure."""
-    prof = []
-    for a in range(d):
-        axis = np.zeros(n)
-        half = side // 2
-        idx = (np.arange(side) + start[a]) % n
-        if sig[a] == 1:
-            axis[idx] = 1.0
-        else:
-            axis[idx[:half]] = -1.0
-            axis[idx[half:]] = 1.0
-        prof.append(axis)
-    out = prof[0]
-    for axis in prof[1:]:
-        out = np.multiply.outer(out, axis)
-    return out / np.sqrt((side / n) ** d)
+def _haar_rows(n: int, starts, side: int) -> np.ndarray:
+    """Every lattice Haar function on the cubes ``product(*starts)`` of one
+    side, one row each, in (cube, signature) order.
+
+    Per axis, signature bit 1 is the indicator of ``[start, start + side)``
+    (mod n) and bit 0 is -1 on its first half and +1 on its second; a row is
+    the tensor of its axes' profiles, L2-normalized against the
+    ``(1/n**d)`` counting measure.  All ``2**d`` signatures are kept.
+    """
+    rows = np.ones((1, 1, 1))
+    for start in starts:
+        off = (np.arange(n) - start[:, None]) % n
+        prof = np.empty((len(start), 2, n))
+        prof[:, 1] = off < side
+        prof[:, 0] = prof[:, 1]
+        prof[:, 0][off < side // 2] = -1.0
+        a, b, c = rows.shape
+        rows = (rows[:, None, :, None, :, None] * prof[None, :, None, :, None, :]).reshape(
+            a * len(start), b * 2, c * n
+        )
+    return rows / np.sqrt((side / n) ** len(starts))
 
 
 def sample_shift_matrix(sample: RandomGridSample) -> np.ndarray:
@@ -160,21 +161,23 @@ def sample_shift_matrix(sample: RandomGridSample) -> np.ndarray:
 
     Maps each strict Haar function of the sampled grid to the same
     signature (rotated) on the chosen child; rows/columns use the
-    ``(1/n**d)`` inner product.
+    ``(1/n**d)`` inner product.  The strict input rows ``H_in`` and their
+    images ``H_out`` are built for all cubes at once, and the matrix is the
+    one product ``H_out.T @ H_in / n**d``.
     """
     d, n = sample.d, sample.n
     size = n**d
-    strict = [s for s in itertools.product((0, 1), repeat=d) if s != (1,) * d]
+    sigs = list(itertools.product((0, 1), repeat=d))
     rot = sample.sig_rotation % d  # sig[-0:] + sig[:-0] is sig itself
-    mat = np.zeros((size, size))
-    for start, side in _sample_cubes(sample):
+    strict = sigs[:-1]  # all-ones is last
+    rotated = [sigs.index(sig[-rot:] + sig[:-rot]) for sig in strict]
+    h_in, h_out = [np.zeros((0, size))], [np.zeros((0, size))]
+    for side, starts in _level_starts(sample):
         half = side // 2
-        cstart = tuple((start[a] + ((sample.child_index >> a) & 1) * half) % n for a in range(d))
-        for sig in strict:
-            h_in = _haar_vector(d, n, start, side, sig).reshape(size)
-            h_out = _haar_vector(d, n, cstart, half, sig[-rot:] + sig[:-rot]).reshape(size)
-            mat += np.outer(h_out, h_in)
-    return mat / size
+        cstarts = [(s + ((sample.child_index >> a) & 1) * half) % n for a, s in enumerate(starts)]
+        h_in.append(_haar_rows(n, starts, side)[:, :-1].reshape(-1, size))
+        h_out.append(_haar_rows(n, cstarts, half)[:, rotated].reshape(-1, size))
+    return np.concatenate(h_out).T @ np.concatenate(h_in) / size
 
 
 def span_residual(matrices, target: np.ndarray) -> np.ndarray:
@@ -182,27 +185,36 @@ def span_residual(matrices, target: np.ndarray) -> np.ndarray:
     first M sampled matrices, for M = 0 .. len(matrices).
 
     Computed by incremental orthonormalization, so the sequence is
-    non-increasing by construction; entry 0 is 1.0.
+    non-increasing by construction; entry 0 is 1.0.  The matrices must be
+    real: the complex span of real vectors has a real orthonormal basis
+    ``Q``, so the basis is kept real (classical Gram-Schmidt, two passes),
+    and the complex target enters only through ``(q.Re t)**2 + (q.Im t)**2``.
     """
     t = np.asarray(target, dtype=np.complex128).ravel()
     t_norm = np.linalg.norm(t)
     if t_norm == 0:
         raise ValueError("target must be nonzero")
-    basis: list[np.ndarray] = []
+    mats = [np.asarray(m) for m in matrices]
+    for m in mats:
+        if np.iscomplexobj(m):
+            raise ValueError("sampled matrices must be real")
+        if m.size != t.size:
+            raise ValueError(f"matrix of size {m.size} against a target of size {t.size}")
+    t_re, t_im = t.real / t_norm, t.imag / t_norm
+    basis = np.empty((len(mats), t.size))
+    k = 0
     res_sq = 1.0
     out = [1.0]
     cutoff = 1e-10
-    for m in matrices:
-        v = np.asarray(m, dtype=np.complex128).ravel()
-        for q in basis:  # two-pass Gram-Schmidt for stability
-            v = v - np.vdot(q, v) * q
-        for q in basis:
-            v = v - np.vdot(q, v) * q
+    for m in mats:
+        v = m.astype(np.float64).ravel()
+        for _ in range(2):  # the second pass restores orthogonality
+            v -= basis[:k].T @ (basis[:k] @ v)
         nv = np.linalg.norm(v)
-        if nv > cutoff * max(1.0, np.linalg.norm(np.asarray(m).ravel())):
-            q = v / nv
-            basis.append(q)
-            proj = np.vdot(q, t / t_norm)
-            res_sq = max(res_sq - abs(proj) ** 2, 0.0)
+        if nv > cutoff * max(1.0, np.linalg.norm(m)):
+            q = basis[k] = v / nv
+            k += 1
+            p_sq = (q @ t_re) ** 2 + (q @ t_im) ** 2
+            res_sq = max(res_sq - p_sq, 0.0)
         out.append(np.sqrt(res_sq))
     return np.array(out)

@@ -1,5 +1,17 @@
+"""The Riesz lab: Fourier multipliers, sampled dyadic shifts, span residuals.
+
+The sampled shift matrices and their span residuals are checked against
+references that state each definition one step at a time: a sum of one
+``np.outer`` per (cube, signature) of the sampled grid, and complex
+two-pass Gram-Schmidt on one flattened matrix after another.
+"""
+
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dyadlab.grid import GridSpec
 from dyadlab.riesz import (
@@ -13,6 +25,86 @@ from dyadlab.riesz import (
 from dyadlab.scalar import Scalar
 from dyadlab.shift import ShiftMap, TensorShift, tensor_apply_counting
 from dyadlab.stepfn import StepFunction
+
+
+# -- references ---------------------------------------------------------------------
+
+
+def reference_cubes(sample):
+    """Lattice cubes (start vector, side) of the sampled grid, by level."""
+    d, n = sample.d, sample.n
+    logn = n.bit_length() - 1
+    p, m = sample.t_num, sample.t_log2den
+    base = tuple((p * y) % n for y in sample.y_num)
+    cubes = []
+    for k in range(logn - m + 1):
+        side = p << (logn - m - k)
+        if side == 0 or side % 4 != 0 or side > n:
+            continue
+        for idx in itertools.product(range(n // side), repeat=d):
+            start = tuple((base[a] + idx[a] * side) % n for a in range(d))
+            cubes.append((start, side))
+    return cubes
+
+
+def reference_haar_vector(d, n, start, side, sig):
+    prof = []
+    for a in range(d):
+        axis = np.zeros(n)
+        half = side // 2
+        idx = (np.arange(side) + start[a]) % n
+        if sig[a] == 1:
+            axis[idx] = 1.0
+        else:
+            axis[idx[:half]] = -1.0
+            axis[idx[half:]] = 1.0
+        prof.append(axis)
+    out = prof[0]
+    for axis in prof[1:]:
+        out = np.multiply.outer(out, axis)
+    return out / np.sqrt((side / n) ** d)
+
+
+def reference_shift_matrix(sample):
+    """One outer product per strict Haar function of the sampled grid."""
+    d, n = sample.d, sample.n
+    size = n**d
+    strict = [s for s in itertools.product((0, 1), repeat=d) if s != (1,) * d]
+    rot = sample.sig_rotation % d
+    mat = np.zeros((size, size))
+    for start, side in reference_cubes(sample):
+        half = side // 2
+        cstart = tuple((start[a] + ((sample.child_index >> a) & 1) * half) % n for a in range(d))
+        for sig in strict:
+            h_in = reference_haar_vector(d, n, start, side, sig).reshape(size)
+            h_out = reference_haar_vector(d, n, cstart, half, sig[-rot:] + sig[:-rot]).reshape(size)
+            mat += np.outer(h_out, h_in)
+    return mat / size
+
+
+def reference_span_residual(matrices, target):
+    """Complex two-pass Gram-Schmidt, one basis vector at a time."""
+    t = np.asarray(target, dtype=np.complex128).ravel()
+    t_norm = np.linalg.norm(t)
+    basis = []
+    res_sq = 1.0
+    out = [1.0]
+    for m in matrices:
+        v = np.asarray(m, dtype=np.complex128).ravel()
+        for q in basis:
+            v = v - np.vdot(q, v) * q
+        for q in basis:
+            v = v - np.vdot(q, v) * q
+        nv = np.linalg.norm(v)
+        if nv > 1e-10 * max(1.0, np.linalg.norm(np.asarray(m).ravel())):
+            q = v / nv
+            basis.append(q)
+            res_sq = max(res_sq - abs(np.vdot(q, t / t_norm)) ** 2, 0.0)
+        out.append(np.sqrt(res_sq))
+    return np.array(out)
+
+
+# -- tests ----------------------------------------------------------------------------
 
 
 def rand_fn(d, n, seed=0):
@@ -175,3 +267,52 @@ def test_d2_sample_runs():
     mat = sample_shift_matrix(s)
     assert mat.shape == (64, 64)
     assert np.abs(mat).max() > 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([1, 2]),
+    st.sampled_from([4, 8, 16]),
+    st.integers(0, 2**31 - 1),
+    st.integers(1, 12),
+    st.data(),
+)
+def test_shift_matrices_and_residuals_match_references(d, n, seed, count, data):
+    j = data.draw(st.integers(1, d), label="component")
+    samples = draw_grid_samples(d, n, count, seed)
+    mats = [sample_shift_matrix(s) for s in samples]
+    for s, got in zip(samples, mats):
+        assert got.shape == (n**d, n**d)
+        assert np.abs(got - reference_shift_matrix(s)).max() <= 1e-15, s
+    target = riesz_matrix(d, n, j)
+    got = span_residual(mats, target)
+    want = reference_span_residual(mats, target)
+    assert got[0] == 1.0 and np.all(np.diff(got) <= 0)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12
+
+
+def test_complex_target_in_the_span_of_real_matrices():
+    # a complex target whose real and imaginary parts both lie in the real
+    # span is reached: the real basis carries both parts
+    rng = np.random.default_rng(2)
+    mats = [rng.standard_normal((4, 4)) for _ in range(20)]
+    target = 0.5 * mats[0] + 1j * (mats[3] - 2.0 * mats[7])
+    got = span_residual(mats, target)
+    want = reference_span_residual(mats, target)
+    assert np.abs(got - want).max() <= 1e-12
+    assert got[0] == 1.0 and np.all(np.diff(got) <= 0)
+    assert got[-1] < 1e-7
+    # past the 16th matrix the span is full and nothing is added
+    assert np.all(got[16:] == got[16])
+
+
+def test_span_residual_rejects_complex_matrices():
+    mats = [np.eye(4), np.eye(4) * 1j]
+    with pytest.raises(ValueError, match="must be real"):
+        span_residual(mats, np.ones((4, 4)))
+
+
+def test_span_residual_rejects_size_mismatch():
+    with pytest.raises(ValueError, match="size 9 against a target of size 16"):
+        span_residual([np.eye(4), np.eye(3)], np.ones((4, 4)))
